@@ -4,7 +4,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "core/constraints.hpp"
 #include "sched/arena.hpp"
 
@@ -104,14 +103,13 @@ void patch_view_undo(InstanceView& view, const ProblemInstance& inst,
   }
 }
 
-/// The sequential (batch == 1) path: Algorithm 1 with one interleaved RNG
-/// stream, byte-identical to the pre-batch annealer. Templated on the
-/// objective so the scheduler-pair entry point (`anneal`) runs without a
-/// std::function indirection per step.
+/// Algorithm 1 with one interleaved RNG stream driving perturbation and
+/// acceptance. Templated on the objective so the scheduler-pair entry point
+/// (`anneal`) runs without a std::function indirection per step.
 template <class Objective>
-AnnealResult anneal_sequential(const Objective& objective, const ProblemInstance& initial,
-                               const PerturbationConfig& config, const AnnealingParams& params,
-                               std::uint64_t seed, TimelineArena* arena) {
+AnnealResult anneal_impl(const Objective& objective, const ProblemInstance& initial,
+                         const PerturbationConfig& config, const AnnealingParams& params,
+                         std::uint64_t seed, TimelineArena* arena) {
   Rng rng(seed);
   TimelineArena run_arena;
   TimelineArena& eval_arena = arena != nullptr ? *arena : run_arena;
@@ -188,113 +186,6 @@ AnnealResult anneal_sequential(const Objective& objective, const ProblemInstance
   }
   result.iterations = iteration;
   return result;
-}
-
-/// The batched (batch == K > 1) path: K candidates per step against the
-/// shared immutable current state, annealing on the best of them. See
-/// AnnealingParams::batch for the seed-derivation contract.
-template <class Objective>
-AnnealResult anneal_batch(const Objective& objective, const ProblemInstance& initial,
-                          const PerturbationConfig& config, const AnnealingParams& params,
-                          std::uint64_t seed) {
-  const std::size_t k_slots = params.batch;
-  Rng accept_rng(derive_seed(seed, {0xacc9ULL}));
-
-  // Slot k always evaluates buffer k on arena k, whether the slots run
-  // serially or on a pool: the result depends only on (seed, K), never on
-  // the thread count or scheduling order.
-  std::vector<TimelineArena> arenas(k_slots);
-  std::vector<ProblemInstance> buffers(k_slots);
-  std::vector<double> ratios(k_slots, 0.0);
-  std::vector<char> evaluated(k_slots, 0);
-
-  AnnealResult result;
-  ProblemInstance current = initial;
-  double current_ratio = objective(current, arenas[0]);
-  result.evaluations = 1;
-  result.best_instance = current;
-  result.best_ratio = current_ratio;
-  result.initial_ratio = current_ratio;
-
-  if (params.record_trace) result.trace.reserve(params.max_iterations);
-
-  double temperature = params.t_max;
-  std::size_t iteration = 0;
-  while (temperature > params.t_min && iteration < params.max_iterations) {
-    const std::size_t step = iteration;
-    const auto eval_slot = [&](std::size_t k) {
-      // Copy-assign reuses the buffer's capacity; `current` is only read
-      // concurrently.
-      buffers[k] = current;
-      Rng slot_rng(derive_seed(seed, {0xba7cULL, step, k}));
-      const auto applied = perturb_in_place_recorded(buffers[k], config, slot_rng);
-      if (applied.has_value() && applied->changed()) {
-        ratios[k] = objective(buffers[k], arenas[k]);
-        evaluated[k] = 1;
-      } else {
-        ratios[k] = current_ratio;
-        evaluated[k] = 0;
-      }
-    };
-    if (params.pool != nullptr) {
-      params.pool->parallel_for(k_slots, eval_slot);
-    } else {
-      for (std::size_t k = 0; k < k_slots; ++k) eval_slot(k);
-    }
-    for (std::size_t k = 0; k < k_slots; ++k) {
-      if (evaluated[k] != 0) ++result.evaluations;
-    }
-
-    // Winner: highest ratio, lowest slot index on ties.
-    std::size_t winner = 0;
-    for (std::size_t k = 1; k < k_slots; ++k) {
-      if (ratios[k] > ratios[winner]) winner = k;
-    }
-    const double candidate_ratio = ratios[winner];
-    const double ratio_before = current_ratio;
-
-    if (candidate_ratio > result.best_ratio) {
-      result.best_instance = buffers[winner];
-      result.best_ratio = candidate_ratio;
-      current = buffers[winner];
-      current_ratio = candidate_ratio;
-      ++result.improved;
-    } else if (candidate_ratio >= current_ratio) {
-      current = buffers[winner];
-      current_ratio = candidate_ratio;
-    } else {
-      const double accept_probability = acceptance_probability(
-          params, candidate_ratio, current_ratio, result.best_ratio, temperature);
-      if (accept_rng.bernoulli(accept_probability)) {
-        current = buffers[winner];
-        current_ratio = candidate_ratio;
-        ++result.accepted;
-      }
-    }
-
-    if (params.record_trace) {
-      result.trace.push_back({iteration, temperature, candidate_ratio, current_ratio,
-                              result.best_ratio, current_ratio != ratio_before});
-    }
-    temperature *= params.alpha;
-    ++iteration;
-  }
-  result.iterations = iteration;
-  return result;
-}
-
-/// Dispatches on params.batch; templated so concrete objectives (the
-/// scheduler pair in `anneal`) skip std::function entirely.
-template <class Objective>
-AnnealResult anneal_impl(const Objective& objective, const ProblemInstance& initial,
-                         const PerturbationConfig& config, const AnnealingParams& params,
-                         std::uint64_t seed, TimelineArena* arena) {
-  if (params.batch > 1) {
-    // Batch slots evaluate on their own dedicated arenas (a caller-provided
-    // arena cannot be shared across concurrent slots).
-    return anneal_batch(objective, initial, config, params, seed);
-  }
-  return anneal_sequential(objective, initial, config, params, seed, arena);
 }
 
 }  // namespace

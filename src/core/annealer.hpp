@@ -14,10 +14,6 @@
 /// (paper Algorithm 1). For a target scheduler A and baseline B, searches
 /// for the instance maximising the makespan ratio m(S_A) / m(S_B).
 
-namespace saga {
-class ThreadPool;
-}  // namespace saga
-
 namespace saga::pisa {
 
 /// Annealing schedule; defaults are the paper's Section VI settings
@@ -37,31 +33,6 @@ struct AnnealingParams {
   /// Record the per-iteration trajectory into AnnealResult::trace (one
   /// point per iteration; bounded by max_iterations).
   bool record_trace = false;
-
-  /// Candidates evaluated per annealing step. `batch == 1` (the default)
-  /// is the sequential Algorithm 1, byte-identical to the pre-batch
-  /// annealer: one RNG stream `Rng(seed)` drives perturbation and
-  /// acceptance interleaved.
-  ///
-  /// `batch == K > 1` proposes K independent candidates per step against
-  /// the shared immutable current state and anneals on the best of them.
-  /// Seed-derivation contract (documented so results are reproducible
-  /// across machines and thread counts):
-  ///   - slot k of step i perturbs with `Rng(derive_seed(seed,
-  ///     {0xba7c, i, k}))` — one fresh stream per (step, slot);
-  ///   - acceptance decisions draw from the dedicated stream
-  ///     `Rng(derive_seed(seed, {0xacc9}))`, one draw at most per step;
-  ///   - the winning slot is the highest ratio, lowest slot index on ties;
-  ///   - temperature advances once per *step* (so a batch run explores
-  ///     K x max_iterations candidates over the same schedule).
-  /// Slot k always evaluates on the k-th of `batch` dedicated arenas, so
-  /// the result for a fixed (seed, K) is bit-identical whether evaluated
-  /// serially or on a pool of any size.
-  std::size_t batch = 1;
-
-  /// Evaluates batch slots in parallel when set (and batch > 1). Results
-  /// are identical with or without a pool; null means serial evaluation.
-  ThreadPool* pool = nullptr;
 };
 
 /// One annealing step, for convergence analysis.
@@ -84,8 +55,7 @@ struct AnnealResult {
   std::size_t improved = 0;   // new-best updates
   /// Objective evaluations actually performed (including the initial one).
   /// Lower than iterations + 1 when perturbations provably left the
-  /// instance unchanged (clamped nudges) and re-evaluation was skipped;
-  /// up to batch * iterations + 1 in batch mode.
+  /// instance unchanged (clamped nudges) and re-evaluation was skipped.
   std::size_t evaluations = 0;
   std::vector<TracePoint> trace;  // filled iff params.record_trace
 };

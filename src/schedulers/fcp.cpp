@@ -1,6 +1,6 @@
 #include "schedulers/fcp.hpp"
 
-#include <queue>
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -42,18 +42,24 @@ void build_fcp(TimelineBuilder& builder) {
   std::vector<double>& rank = ws.d0;
   upward_ranks(view, rank);
 
-  // Max-heap of ready tasks by static priority (upward rank, then id).
-  using Entry = std::pair<double, TaskId>;
-  const auto cmp = [](const Entry& a, const Entry& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return a.second > b.second;
+  // Max-heap of ready tasks by static priority (upward rank, then id), kept
+  // in a workspace vector so a warm arena plans without allocating.
+  const auto cmp = [&rank](TaskId a, TaskId b) {
+    if (rank[a] != rank[b]) return rank[a] < rank[b];
+    return a > b;
   };
-  std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> ready(cmp);
-  for (TaskId t : builder.ready_tasks()) ready.emplace(rank[t], t);
+  std::vector<TaskId>& ready = ws.tasks;
+  ready.clear();
+  const auto push = [&](TaskId t) {
+    ready.push_back(t);
+    std::push_heap(ready.begin(), ready.end(), cmp);
+  };
+  for (TaskId t : builder.ready_tasks()) push(t);
 
   while (!ready.empty()) {
-    const TaskId t = ready.top().second;
-    ready.pop();
+    std::pop_heap(ready.begin(), ready.end(), cmp);
+    const TaskId t = ready.back();
+    ready.pop_back();
 
     // Candidate 1: earliest-idle node.
     const auto avail = builder.node_available_row();
@@ -70,7 +76,7 @@ void build_fcp(TimelineBuilder& builder) {
 
     builder.place_earliest(t, chosen, /*insertion=*/false);
     for (const auto& edge : view.successors(t)) {
-      if (builder.ready(edge.task)) ready.emplace(rank[edge.task], edge.task);
+      if (builder.ready(edge.task)) push(edge.task);
     }
   }
 }

@@ -37,8 +37,19 @@ double to_double(const Json& json, const std::string& what) {
   return json.as_number();
 }
 
-/// Positive, finite weight (task cost, node speed).
-double to_weight(const Json& json, const std::string& what) {
+/// Non-negative, finite weight (task cost, dependency size): zero is a
+/// valid cost, as in TaskGraph and the text format.
+double to_cost(const Json& json, const std::string& what) {
+  const double v = to_double(json, what);
+  if (!(v >= 0.0) || std::isinf(v)) {
+    throw std::invalid_argument(what + " must be non-negative and finite" +
+                                json.position_suffix());
+  }
+  return v;
+}
+
+/// Positive, finite node speed.
+double to_speed(const Json& json, const std::string& what) {
   const double v = to_double(json, what);
   if (!(v > 0.0) || std::isinf(v)) {
     throw std::invalid_argument(what + " must be positive and finite" + json.position_suffix());
@@ -142,7 +153,7 @@ ProblemInstance instance_from_json(const Json& json) {
     const std::string what = "task " + std::to_string(i);
     check_keys(tasks[i], {"name", "cost"}, what);
     const Json* name = tasks[i].find("name");
-    const double cost = to_weight(require(tasks[i], "cost", what), what + " 'cost'");
+    const double cost = to_cost(require(tasks[i], "cost", what), what + " 'cost'");
     if (name != nullptr) {
       inst.graph.add_task(name->as_string(), cost);
     } else {
@@ -162,11 +173,7 @@ ProblemInstance instance_from_json(const Json& json) {
                                   std::to_string(tasks.size()) + " tasks" +
                                   deps[i].position_suffix());
     }
-    const double size = to_double(require(deps[i], "size", what), what + " 'size'");
-    if (!(size >= 0.0) || std::isinf(size)) {
-      throw std::invalid_argument(what + " 'size' must be non-negative and finite" +
-                                  deps[i].position_suffix());
-    }
+    const double size = to_cost(require(deps[i], "size", what), what + " 'size'");
     if (!inst.graph.add_dependency(static_cast<TaskId>(from), static_cast<TaskId>(to), size)) {
       throw std::invalid_argument(what + " (" + std::to_string(from) + " -> " +
                                   std::to_string(to) +
@@ -184,7 +191,7 @@ ProblemInstance instance_from_json(const Json& json) {
     const std::string what = "node " + std::to_string(i);
     check_keys(nodes[i], {"speed"}, what);
     inst.network.set_speed(static_cast<NodeId>(i),
-                           to_weight(require(nodes[i], "speed", what), what + " 'speed'"));
+                           to_speed(require(nodes[i], "speed", what), what + " 'speed'"));
   }
 
   const JsonArray& links = require(json, "links", context).as_array();

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/annealer.hpp"
 #include "core/perturbation.hpp"
 #include "graph/instance_view.hpp"
@@ -14,8 +13,7 @@
 /// Kernel round 2 property suite: the row-wise candidate API must be
 /// bit-identical to the scalar queries it replaces, the annealer's O(1)
 /// view patches must be indistinguishable from a fresh sync, and the
-/// batched annealer must be deterministic in (seed, K) regardless of how
-/// (or whether) its slots are parallelised.
+/// annealer's two entry points must follow the same trajectory.
 
 namespace saga {
 namespace {
@@ -256,60 +254,26 @@ TEST(ViewPatches, MakespansThroughPatchedViewMatchFreshEvaluation) {
   }
 }
 
-// --- batched annealer determinism ------------------------------------------
+// --- annealer entry points --------------------------------------------------
 
-TEST(BatchAnnealer, DeterministicAcrossRepeatsAndThreadCounts) {
-  const auto target = make_scheduler("HEFT", 1);
-  const auto baseline = make_scheduler("CPoP", 2);
-  const auto config = pisa::PerturbationConfig::generic();
-  const auto initial = pisa::random_chain_instance(11);
-
-  pisa::AnnealingParams params;
-  params.max_iterations = 120;
-  params.batch = 4;
-  const auto serial = pisa::anneal(*target, *baseline, initial, config, params, 99);
-  const auto serial_again = pisa::anneal(*target, *baseline, initial, config, params, 99);
-  EXPECT_EQ(serial.best_ratio, serial_again.best_ratio);
-  EXPECT_EQ(serial.evaluations, serial_again.evaluations);
-  EXPECT_EQ(serial.accepted, serial_again.accepted);
-  EXPECT_EQ(serial.improved, serial_again.improved);
-  EXPECT_TRUE(same_instance(serial.best_instance, serial_again.best_instance));
-
-  for (const std::size_t threads : {2, 4}) {
-    ThreadPool pool(threads);
-    pisa::AnnealingParams pooled = params;
-    pooled.pool = &pool;
-    const auto result = pisa::anneal(*target, *baseline, initial, config, pooled, 99);
-    EXPECT_EQ(result.best_ratio, serial.best_ratio) << threads << " threads";
-    EXPECT_EQ(result.evaluations, serial.evaluations);
-    EXPECT_EQ(result.accepted, serial.accepted);
-    EXPECT_EQ(result.improved, serial.improved);
-    EXPECT_TRUE(same_instance(result.best_instance, serial.best_instance));
-  }
-}
-
-TEST(BatchAnnealer, TypeErasedObjectiveMatchesSchedulerPairPath) {
+TEST(Annealer, TypeErasedObjectiveMatchesSchedulerPairPath) {
   // anneal() runs the templated concrete-lambda path; anneal_objective runs
-  // the std::function path. Same seed, same batch: identical trajectories.
+  // the std::function path. Same seed: identical trajectories.
   const auto target = make_scheduler("HEFT", 1);
   const auto baseline = make_scheduler("CPoP", 2);
   const auto config = pisa::PerturbationConfig::generic();
   const auto initial = pisa::random_chain_instance(3);
-  for (const std::size_t batch : {std::size_t{1}, std::size_t{4}}) {
-    pisa::AnnealingParams params;
-    params.max_iterations = 80;
-    params.batch = batch;
-    const auto direct = pisa::anneal(*target, *baseline, initial, config, params, 123);
-    const pisa::ArenaObjective objective = [&](const ProblemInstance& inst,
-                                               TimelineArena& arena) {
-      return pisa::makespan_ratio(*target, *baseline, inst, &arena);
-    };
-    const auto erased = pisa::anneal_objective(objective, initial, config, params, 123);
-    EXPECT_EQ(direct.best_ratio, erased.best_ratio) << "batch " << batch;
-    EXPECT_EQ(direct.evaluations, erased.evaluations);
-    EXPECT_EQ(direct.accepted, erased.accepted);
-    EXPECT_TRUE(same_instance(direct.best_instance, erased.best_instance));
-  }
+  pisa::AnnealingParams params;
+  params.max_iterations = 80;
+  const auto direct = pisa::anneal(*target, *baseline, initial, config, params, 123);
+  const pisa::ArenaObjective objective = [&](const ProblemInstance& inst, TimelineArena& arena) {
+    return pisa::makespan_ratio(*target, *baseline, inst, &arena);
+  };
+  const auto erased = pisa::anneal_objective(objective, initial, config, params, 123);
+  EXPECT_EQ(direct.best_ratio, erased.best_ratio);
+  EXPECT_EQ(direct.evaluations, erased.evaluations);
+  EXPECT_EQ(direct.accepted, erased.accepted);
+  EXPECT_TRUE(same_instance(direct.best_instance, erased.best_instance));
 }
 
 // --- unchecked dependency insertion ----------------------------------------

@@ -77,6 +77,25 @@ TEST(ServeCodec, InfiniteStrengthsCrossTheWire) {
   EXPECT_EQ(encoded.dump(), instance_to_json(decoded).dump());
 }
 
+TEST(ServeCodec, ZeroCostTasksRoundTrip) {
+  // TaskGraph and the text format accept zero task costs (random chains
+  // draw them from [0, 1]), so the wire codec must too.
+  ProblemInstance inst;
+  inst.graph.add_task("a", 0.0);
+  inst.graph.add_task("b", 1.5);
+  ASSERT_TRUE(inst.graph.add_dependency(0, 1, 0.0));
+  inst.network = Network(2);
+  inst.network.set_speed(0, 1.0);
+  inst.network.set_speed(1, 2.0);
+  inst.network.set_strength(0, 1, 1.0);
+
+  const Json encoded = instance_to_json(inst);
+  const ProblemInstance decoded = instance_from_json(encoded);
+  EXPECT_EQ(decoded.graph.cost(0), 0.0);
+  expect_same_instance(inst, decoded);
+  EXPECT_EQ(encoded.dump(), instance_to_json(decoded).dump());
+}
+
 TEST(ServeCodec, ScheduleRoundTripsExactly) {
   const ProblemInstance inst = fig1_instance();
   const auto scheduler = make_scheduler("HEFT");
@@ -165,6 +184,14 @@ TEST(ServeCodec, RejectsStructuralViolations) {
       "tasks": [], "deps": [],
       "nodes": [{"speed": 1}, {"speed": 1}],
       "links": [{"a": 0, "b": 1, "strength": 0}]})"),
+               std::invalid_argument);
+  // Negative task cost.
+  EXPECT_THROW(parse_instance(R"({"format": "saga-instance", "version": 1,
+      "tasks": [{"cost": -1}], "deps": [], "nodes": [{"speed": 1}], "links": []})"),
+               std::invalid_argument);
+  // Zero node speed.
+  EXPECT_THROW(parse_instance(R"({"format": "saga-instance", "version": 1,
+      "tasks": [{"cost": 1}], "deps": [], "nodes": [{"speed": 0}], "links": []})"),
                std::invalid_argument);
   // Zero nodes.
   EXPECT_THROW(parse_instance(R"({"format": "saga-instance", "version": 1,
