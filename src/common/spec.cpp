@@ -91,6 +91,11 @@ void SpecParams::fail(std::string_view key, std::string_view expected,
                               "': expected " + std::string(expected) + ", got '" + got + "'");
 }
 
+void SpecParams::reject(std::string_view key, std::string_view expected) const {
+  const std::string* value = raw(key);
+  fail(key, expected, value != nullptr ? *value : std::string());
+}
+
 std::uint64_t SpecParams::get_u64(std::string_view key, std::uint64_t fallback) const {
   const std::string* value = raw(key);
   if (value == nullptr) return fallback;

@@ -69,6 +69,10 @@ class SpecParams {
   [[nodiscard]] std::vector<std::string> get_list(std::string_view key,
                                                   std::vector<std::string> fallback) const;
 
+  /// Throws the conversion-failure error for a value that parsed but lies
+  /// outside the accepted range, e.g. `reject("alpha", "a number in (0, 1)")`.
+  [[noreturn]] void reject(std::string_view key, std::string_view expected) const;
+
  private:
   [[nodiscard]] const std::string* raw(std::string_view key) const;
   [[noreturn]] void fail(std::string_view key, std::string_view expected,

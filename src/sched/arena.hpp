@@ -48,6 +48,19 @@ struct TimelineScratch {
     std::vector<char> flags;
   };
 
+  /// Storage behind ReadyRows (sched/ready_rows.hpp): per-task rows, valid
+  /// while the task is ready. Like Workspace, left as-is by reset: the
+  /// table sizes it on construction and writes every row before reading
+  /// it, so schedulers that never build one pay nothing.
+  struct ReadyRowStore {
+    std::vector<double> start;       // T*N append-mode start rows
+    std::vector<double> finish;      // T*N append-mode finish rows
+    std::vector<double> best_key;    // per task: key of the best lane
+    std::vector<double> max_finish;  // per task: max over the finish row
+    std::vector<NodeId> best_node;   // per task: lowest lane with the best key
+    std::vector<TaskId> ready;       // ready tasks, id-sorted
+  };
+
   std::vector<std::vector<Interval>> busy;   // per node, sorted by (start, end)
   std::vector<Assignment> assignment;        // per task; valid iff placed
   std::vector<char> placed;                  // per task
@@ -59,10 +72,11 @@ struct TimelineScratch {
   std::vector<TaskId> ready_list;            // ready tasks, id-sorted, lazily rebuilt
   bool ready_dirty = true;                   // ready_list stale; rebuild on query
   Workspace ws;
+  ReadyRowStore rows;
 
   /// Sizes every buffer for (tasks, nodes) and clears logical state,
-  /// reusing existing capacity. Workspace vectors are left as-is (callers
-  /// size them on use).
+  /// reusing existing capacity. Workspace and ReadyRowStore vectors are
+  /// left as-is (their users size them).
   void reset(std::size_t tasks, std::size_t nodes);
 };
 

@@ -117,6 +117,11 @@ class TimelineBuilder {
   /// (see TimelineScratch::Workspace).
   [[nodiscard]] TimelineScratch::Workspace& workspace() noexcept { return scratch_->ws; }
 
+  /// Storage for this builder's ReadyRows table (see sched/ready_rows.hpp).
+  [[nodiscard]] TimelineScratch::ReadyRowStore& ready_row_store() noexcept {
+    return scratch_->rows;
+  }
+
   /// Execution time of t on v (cost / speed).
   [[nodiscard]] double exec_time(TaskId t, NodeId v) const { return view_->exec_time(t, v); }
 

@@ -1,9 +1,9 @@
 #include "schedulers/bil.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <vector>
 
+#include "sched/ready_rows.hpp"
 #include "sched/timeline.hpp"
 #include "sched/registry.hpp"
 #include "schedulers/register.hpp"
@@ -65,35 +65,12 @@ void build_bil(TimelineBuilder& builder) {
   // most constrained), on the node minimising its BIM — which preserves
   // BIL's optimality on linear chains: on a chain the single ready task goes
   // to the node minimising EST + BIL, the dynamic-programming optimum.
+  ReadyRows rows(builder, [&](TaskId t, NodeId v, double start, double) {
+    return start + bil[t * n_nodes + v];  // BIM
+  });
   while (!builder.complete()) {
-    TaskId best_task = 0;
-    NodeId best_node = 0;
-    double best_start = 0.0;
-    double best_key = -std::numeric_limits<double>::infinity();
-    bool found = false;
-    for (TaskId t : builder.ready_tasks()) {
-      const auto row = builder.eft_row(t, /*insertion=*/false);
-      const double* bil_row = bil.data() + t * n_nodes;
-      NodeId arg_node = 0;
-      double arg_start = 0.0;
-      double best_bim = std::numeric_limits<double>::infinity();
-      for (NodeId v = 0; v < n_nodes; ++v) {
-        const double bim = row.start[v] + bil_row[v];
-        if (bim < best_bim) {
-          best_bim = bim;
-          arg_node = v;
-          arg_start = row.start[v];
-        }
-      }
-      if (!found || best_bim > best_key || (best_bim == best_key && t < best_task)) {
-        best_key = best_bim;
-        best_task = t;
-        best_node = arg_node;
-        best_start = arg_start;
-        found = true;
-      }
-    }
-    builder.place(best_task, best_node, best_start);
+    const TaskId t = rows.greatest_key_task();  // largest best-case BIM
+    rows.place(t, rows.best_node(t));
   }
 }
 

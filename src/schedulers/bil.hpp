@@ -19,7 +19,8 @@ namespace saga {
 /// Tasks are selected by decreasing best imaginary makespan
 /// BIM(t, v) = EST(t, v) + BIL(t, v) minimised over nodes (the original
 /// paper's revised-BIM processor-ordering refinements are folded into this
-/// selection; see the implementation note in bil.cpp). O(|T|^2 |V| log |V|).
+/// selection; see the implementation note in bil.cpp). The BIL table costs
+/// O(|E| |V|^2); selection runs on the ready-row table (sched/ready_rows.hpp).
 /// Designed for homogeneous link strengths (paper Section VI pins BIL's
 /// links to 1).
 class BilScheduler final : public Scheduler {

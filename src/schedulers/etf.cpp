@@ -1,9 +1,9 @@
 #include "schedulers/etf.hpp"
 
-#include <limits>
 #include <vector>
 
 #include "sched/ranks.hpp"
+#include "sched/ready_rows.hpp"
 #include "sched/timeline.hpp"
 #include "sched/registry.hpp"
 #include "schedulers/register.hpp"
@@ -17,28 +17,17 @@ void build_etf(TimelineBuilder& builder) {
   auto& ws = builder.workspace();
   std::vector<double>& level = ws.d0;
   static_levels(view, level);
+  ReadyRows rows(builder, [](TaskId, NodeId, double start, double) { return start; });
   while (!builder.complete()) {
-    TaskId best_task = 0;
-    NodeId best_node = 0;
-    double best_start = std::numeric_limits<double>::infinity();
-    double best_level = -1.0;
-    for (TaskId t : builder.ready_tasks()) {
-      const auto row = builder.eft_row(t, /*insertion=*/false);
-      for (NodeId v = 0; v < view.node_count(); ++v) {
-        const double start = row.start[v];
-        const bool better =
-            start < best_start ||
-            (start == best_start && (level[t] > best_level ||
-                                     (level[t] == best_level && t < best_task)));
-        if (better) {
-          best_start = start;
-          best_level = level[t];
-          best_task = t;
-          best_node = v;
-        }
-      }
+    // Earliest start; ties go to the higher static level, then the lower id.
+    const auto ready = rows.tasks();
+    TaskId best = ready[0];
+    for (const TaskId t : ready) {
+      const double start = rows.best_key(t);
+      const double best_start = rows.best_key(best);
+      if (start < best_start || (start == best_start && level[t] > level[best])) best = t;
     }
-    builder.place(best_task, best_node, best_start);
+    rows.place(best, rows.best_node(best));
   }
 }
 

@@ -11,9 +11,9 @@ namespace saga {
 /// At every step, among all (ready task, node) pairs, schedule the pair with
 /// the earliest possible *start* time (not finish time — the property that
 /// enables the published (2 - 1/n)·ω_opt + C bound). Ties are broken by the
-/// higher static level, then by task id. O(|T| |V|^2) per the original
-/// analysis; designed for homogeneous node speeds, which `requirements`
-/// declares so PISA pins node weights to 1.
+/// higher static level, then by task id. Selection runs on the ready-row
+/// table (sched/ready_rows.hpp). Designed for homogeneous node speeds,
+/// which `requirements` declares so PISA pins node weights to 1.
 class EtfScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "ETF"; }

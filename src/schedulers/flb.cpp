@@ -1,6 +1,7 @@
 #include "schedulers/flb.hpp"
 
 #include <limits>
+#include <vector>
 
 #include "sched/timeline.hpp"
 #include "sched/registry.hpp"
@@ -10,6 +11,8 @@ namespace saga {
 
 namespace {
 
+/// The node of the predecessor whose data arrives last. Fixed once all of
+/// t's predecessors are placed.
 NodeId enabling_node(const TimelineBuilder& builder, TaskId t) {
   const InstanceView& view = builder.view();
   NodeId enabler = 0;
@@ -31,20 +34,23 @@ NodeId enabling_node(const TimelineBuilder& builder, TaskId t) {
 
 void build_flb(TimelineBuilder& builder) {
   const InstanceView& view = builder.view();
+  constexpr NodeId kUnknown = std::numeric_limits<NodeId>::max();
+  // Each ready task's enabling node, computed once when first seen ready.
+  std::vector<NodeId>& enabler = builder.workspace().nodes;
+  enabler.assign(view.task_count(), kUnknown);
   while (!builder.complete()) {
     TaskId best_task = 0;
     NodeId best_node = 0;
     double best_finish = std::numeric_limits<double>::infinity();
     bool found = false;
+    const auto avail = builder.node_available_row();
+    NodeId idle_node = 0;
+    for (NodeId v = 1; v < view.node_count(); ++v) {
+      if (avail[v] < avail[idle_node]) idle_node = v;
+    }
     for (TaskId t : builder.ready_tasks()) {
-      const auto avail = builder.node_available_row();
-      NodeId idle_node = 0;
-      for (NodeId v = 1; v < view.node_count(); ++v) {
-        if (avail[v] < avail[idle_node]) idle_node = v;
-      }
-      const NodeId enabler = enabling_node(builder, t);
-
-      for (NodeId candidate : {idle_node, enabler}) {
+      if (enabler[t] == kUnknown) enabler[t] = enabling_node(builder, t);
+      for (NodeId candidate : {idle_node, enabler[t]}) {
         const double finish = builder.earliest_finish(t, candidate, /*insertion=*/false);
         if (!found || finish < best_finish ||
             (finish == best_finish && t < best_task)) {

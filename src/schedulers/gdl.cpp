@@ -1,9 +1,9 @@
 #include "schedulers/gdl.hpp"
 
-#include <limits>
 #include <vector>
 
 #include "sched/ranks.hpp"
+#include "sched/ready_rows.hpp"
 #include "sched/timeline.hpp"
 #include "sched/registry.hpp"
 #include "schedulers/register.hpp"
@@ -19,27 +19,15 @@ void build_gdl(TimelineBuilder& builder) {
   std::vector<double>& mean_exec = ws.d1;
   static_levels(view, sl);
   mean_exec_times(view, mean_exec);
+  // Key: the negated dynamic level, so the table's least key is the
+  // greatest DL = SL - start + (mean exec - exec).
+  ReadyRows rows(builder, [&](TaskId t, NodeId v, double start, double) {
+    const double delta = mean_exec[t] - view.exec_time(t, v);
+    return -(sl[t] - start + delta);
+  });
   while (!builder.complete()) {
-    TaskId best_task = 0;
-    NodeId best_node = 0;
-    double best_start = 0.0;
-    double best_dl = -std::numeric_limits<double>::infinity();
-    bool found = false;
-    for (TaskId t : builder.ready_tasks()) {
-      const auto row = builder.eft_row(t, /*insertion=*/false);
-      for (NodeId v = 0; v < view.node_count(); ++v) {
-        const double delta = mean_exec[t] - builder.exec_time(t, v);
-        const double dl = sl[t] - row.start[v] + delta;
-        if (!found || dl > best_dl || (dl == best_dl && t < best_task)) {
-          best_dl = dl;
-          best_task = t;
-          best_node = v;
-          best_start = row.start[v];
-          found = true;
-        }
-      }
-    }
-    builder.place(best_task, best_node, best_start);
+    const TaskId t = rows.least_key_task();  // greatest dynamic level
+    rows.place(t, rows.best_node(t));
   }
 }
 

@@ -14,8 +14,9 @@ namespace saga {
 /// the static level (longest mean-execution chain to a sink, no
 /// communication), DAT the data-available time of t on v, and
 /// Δ(t, v) = w̄(t) − w(t, v) rewards nodes faster than average. Priorities
-/// are re-evaluated after every placement, giving O(|T|^2 |V|) pair
-/// evaluations. Designed assuming homogeneous link strengths, which
+/// are kept current after every placement by the ready-row table
+/// (sched/ready_rows.hpp), which re-evaluates only the pairs the placement
+/// changed. Designed assuming homogeneous link strengths, which
 /// `requirements` declares so PISA pins link weights to 1.
 class GdlScheduler final : public Scheduler {
  public:

@@ -117,7 +117,7 @@ void register_genetic_scheduler(SchedulerRegistry& registry) {
   desc.tags = {"extension"};
   desc.randomized = true;
   desc.params = {
-      {"pop", "population size (default 24)"},
+      {"pop", "population size, >= 1 (default 24)"},
       {"gens", "generations (default 60)"},
       {"tournament", "tournament size (default 3)"},
       {"crossover", "crossover rate in [0,1] (default 0.9)"},
@@ -126,6 +126,7 @@ void register_genetic_scheduler(SchedulerRegistry& registry) {
   desc.factory = [](const SchedulerParams& params, std::uint64_t seed) -> SchedulerPtr {
     GeneticScheduler::Params p;
     p.population = params.get_size("pop", p.population);
+    if (p.population == 0) params.reject("pop", "an integer >= 1");
     p.generations = params.get_size("gens", p.generations);
     p.tournament = params.get_size("tournament", p.tournament);
     p.crossover_rate = params.get_double("crossover", p.crossover_rate);

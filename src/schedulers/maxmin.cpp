@@ -1,5 +1,6 @@
 #include "schedulers/maxmin.hpp"
 
+#include "sched/ready_rows.hpp"
 #include "sched/timeline.hpp"
 #include "sched/registry.hpp"
 #include "schedulers/register.hpp"
@@ -9,24 +10,10 @@ namespace saga {
 namespace {
 
 void build_maxmin(TimelineBuilder& builder) {
+  ReadyRows rows(builder, [](TaskId, NodeId, double, double finish) { return finish; });
   while (!builder.complete()) {
-    TaskId chosen_task = 0;
-    NodeId chosen_node = 0;
-    double chosen_start = 0.0;
-    double chosen_mct = -1.0;
-    bool found = false;
-    for (TaskId t : builder.ready_tasks()) {
-      // Minimum completion time of t across nodes.
-      const auto choice = builder.best_eft(t, /*insertion=*/false);
-      if (!found || choice.finish > chosen_mct) {
-        chosen_mct = choice.finish;
-        chosen_start = choice.start;
-        chosen_task = t;
-        chosen_node = choice.node;
-        found = true;
-      }
-    }
-    builder.place(chosen_task, chosen_node, chosen_start);
+    const TaskId t = rows.greatest_key_task();  // largest minimum completion time
+    rows.place(t, rows.best_node(t));
   }
 }
 

@@ -10,7 +10,8 @@ namespace saga {
 ///
 /// Like MinMin, but schedules the ready task whose *minimum* completion time
 /// is *largest* (on the node attaining that minimum): big tasks go first so
-/// they don't serialise at the end. O(|T|^2 |V|).
+/// they don't serialise at the end. Selection runs on the ready-row table
+/// (sched/ready_rows.hpp).
 class MaxMinScheduler final : public Scheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "MaxMin"; }

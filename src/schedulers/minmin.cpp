@@ -1,7 +1,6 @@
 #include "schedulers/minmin.hpp"
 
-#include <limits>
-
+#include "sched/ready_rows.hpp"
 #include "sched/timeline.hpp"
 #include "sched/registry.hpp"
 #include "schedulers/register.hpp"
@@ -11,24 +10,10 @@ namespace saga {
 namespace {
 
 void build_minmin(TimelineBuilder& builder) {
-  const std::size_t nodes = builder.view().node_count();
+  ReadyRows rows(builder, [](TaskId, NodeId, double, double finish) { return finish; });
   while (!builder.complete()) {
-    TaskId best_task = 0;
-    NodeId best_node = 0;
-    double best_start = 0.0;
-    double best_finish = std::numeric_limits<double>::infinity();
-    for (TaskId t : builder.ready_tasks()) {
-      const auto row = builder.eft_row(t, /*insertion=*/false);
-      for (NodeId v = 0; v < nodes; ++v) {
-        if (row.finish[v] < best_finish) {
-          best_finish = row.finish[v];
-          best_start = row.start[v];
-          best_task = t;
-          best_node = v;
-        }
-      }
-    }
-    builder.place(best_task, best_node, best_start);
+    const TaskId t = rows.least_key_task();  // least minimum completion time
+    rows.place(t, rows.best_node(t));
   }
 }
 

@@ -10,7 +10,8 @@ namespace saga {
 ///
 /// Repeatedly computes, for every ready task, the minimum completion time
 /// across all nodes, then schedules the task whose minimum completion time
-/// is smallest on its corresponding node. O(|T|^2 |V|). Originally defined
+/// is smallest on its corresponding node; the ready-row table
+/// (sched/ready_rows.hpp) keeps those minima current. Originally defined
 /// for independent tasks; the ready-set formulation extends it to DAGs
 /// (data-ready times are included in the completion time).
 class MinMinScheduler final : public Scheduler {

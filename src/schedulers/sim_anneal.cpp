@@ -73,9 +73,9 @@ void register_sim_anneal_scheduler(SchedulerRegistry& registry) {
   desc.tags = {"extension"};
   desc.randomized = true;
   desc.params = {
-      {"tmax", "initial temperature relative to the initial makespan (default 1.0)"},
-      {"tmin", "final temperature (default 1e-3)"},
-      {"alpha", "geometric cooling rate (default 0.98)"},
+      {"tmax", "initial temperature relative to the initial makespan, finite (default 1.0)"},
+      {"tmin", "final temperature, > 0 (default 1e-3)"},
+      {"alpha", "geometric cooling rate in (0,1) (default 0.98)"},
       {"steps", "steps per temperature (default 8)"},
   };
   desc.factory = [](const SchedulerParams& params, std::uint64_t seed) -> SchedulerPtr {
@@ -84,6 +84,10 @@ void register_sim_anneal_scheduler(SchedulerRegistry& registry) {
     p.t_min = params.get_double("tmin", p.t_min);
     p.alpha = params.get_double("alpha", p.alpha);
     p.steps_per_temperature = params.get_size("steps", p.steps_per_temperature);
+    // Each of these would keep the cooling loop from ever reaching t_min.
+    if (!(p.alpha > 0.0 && p.alpha < 1.0)) params.reject("alpha", "a number in (0, 1)");
+    if (!(p.t_min > 0.0)) params.reject("tmin", "a number > 0");
+    if (!std::isfinite(p.t_max)) params.reject("tmax", "a finite number");
     return std::make_unique<SimAnnealScheduler>(seed, p);
   };
   registry.add(std::move(desc));

@@ -42,9 +42,11 @@ void register_smt_binary_search_scheduler(SchedulerRegistry& registry) {
   desc.summary = "SMT-style binary search on the makespan bound; (1+epsilon)-optimal oracle";
   desc.tags = {"table1"};
   desc.exponential_time = true;
-  desc.params = {{"epsilon", "relative optimality gap (default 0.01)"}};
+  desc.params = {{"epsilon", "relative optimality gap, > 0 (default 0.01)"}};
   desc.factory = [](const SchedulerParams& params, std::uint64_t) -> SchedulerPtr {
-    return std::make_unique<SmtBinarySearchScheduler>(params.get_double("epsilon", 0.01));
+    const double epsilon = params.get_double("epsilon", 0.01);
+    if (!(epsilon > 0.0)) params.reject("epsilon", "a number > 0");
+    return std::make_unique<SmtBinarySearchScheduler>(epsilon);
   };
   registry.add(std::move(desc));
 }

@@ -15,7 +15,8 @@ namespace saga {
 /// uniformly at random among the pairs whose increase is within a tolerance
 /// band [I_min, I_min + tolerance · (I_max − I_min)] of the best option —
 /// "a distribution that favors choices that least increase the schedule
-/// makespan" (paper Section IV-A). O(|T| |D| |V|) worst case.
+/// makespan" (paper Section IV-A). Rows come from the ready-row table
+/// (sched/ready_rows.hpp); O(|T| |R| |V|) worst case for ready set R.
 ///
 /// Deterministic for a fixed seed; the seed is a constructor parameter so
 /// experiment drivers can derive independent streams.

@@ -1,19 +1,33 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/annealer.hpp"
 #include "core/perturbation.hpp"
+#include "datasets/registry.hpp"
 #include "graph/instance_view.hpp"
 #include "sched/arena.hpp"
+#include "sched/ranks.hpp"
 #include "sched/registry.hpp"
 #include "sched/timeline.hpp"
+#include "schedulers/bil.hpp"
+#include "schedulers/etf.hpp"
+#include "schedulers/flb.hpp"
+#include "schedulers/gdl.hpp"
+#include "schedulers/maxmin.hpp"
+#include "schedulers/minmin.hpp"
+#include "schedulers/wba.hpp"
 
-/// Kernel round 2 property suite: the row-wise candidate API must be
-/// bit-identical to the scalar queries it replaces, the annealer's O(1)
-/// view patches must be indistinguishable from a fresh sync, and the
-/// annealer's two entry points must follow the same trajectory.
+/// Kernel property suite: the row-wise candidate API must be bit-identical
+/// to the scalar queries it replaces, the ready-row table must pick exactly
+/// what the per-step ready-set sweeps picked, the annealer's O(1) view
+/// patches must be indistinguishable from a fresh sync, and the annealer's
+/// two entry points must follow the same trajectory.
 
 namespace saga {
 namespace {
@@ -123,6 +137,355 @@ TEST(RowWiseCandidates, ReadyTasksMatchesBruteForce) {
                            static_cast<NodeId>(rng.index(inst.network.node_count())), false);
   }
   EXPECT_TRUE(builder.ready_tasks().empty());
+}
+
+// --- ready-row table == the per-step ready-set sweeps it replaced ---------
+
+// The selection loops of MinMin, MaxMin, ETF, GDL, BIL, FLB and WBA as they
+// were before the ready-row table: every step re-sweeps eft_row for every
+// ready task. Kept as the oracle for the incremental table.
+namespace sweep {
+
+void minmin(TimelineBuilder& builder) {
+  const std::size_t nodes = builder.view().node_count();
+  while (!builder.complete()) {
+    TaskId best_task = 0;
+    NodeId best_node = 0;
+    double best_start = 0.0;
+    double best_finish = std::numeric_limits<double>::infinity();
+    for (TaskId t : builder.ready_tasks()) {
+      const auto row = builder.eft_row(t, /*insertion=*/false);
+      for (NodeId v = 0; v < nodes; ++v) {
+        if (row.finish[v] < best_finish) {
+          best_finish = row.finish[v];
+          best_start = row.start[v];
+          best_task = t;
+          best_node = v;
+        }
+      }
+    }
+    builder.place(best_task, best_node, best_start);
+  }
+}
+
+void maxmin(TimelineBuilder& builder) {
+  while (!builder.complete()) {
+    TaskId chosen_task = 0;
+    NodeId chosen_node = 0;
+    double chosen_start = 0.0;
+    double chosen_mct = -1.0;
+    bool found = false;
+    for (TaskId t : builder.ready_tasks()) {
+      const auto choice = builder.best_eft(t, /*insertion=*/false);
+      if (!found || choice.finish > chosen_mct) {
+        chosen_mct = choice.finish;
+        chosen_start = choice.start;
+        chosen_task = t;
+        chosen_node = choice.node;
+        found = true;
+      }
+    }
+    builder.place(chosen_task, chosen_node, chosen_start);
+  }
+}
+
+void etf(TimelineBuilder& builder) {
+  const InstanceView& view = builder.view();
+  std::vector<double> level;
+  static_levels(view, level);
+  while (!builder.complete()) {
+    TaskId best_task = 0;
+    NodeId best_node = 0;
+    double best_start = std::numeric_limits<double>::infinity();
+    double best_level = -1.0;
+    for (TaskId t : builder.ready_tasks()) {
+      const auto row = builder.eft_row(t, /*insertion=*/false);
+      for (NodeId v = 0; v < view.node_count(); ++v) {
+        const double start = row.start[v];
+        const bool better =
+            start < best_start ||
+            (start == best_start && (level[t] > best_level ||
+                                     (level[t] == best_level && t < best_task)));
+        if (better) {
+          best_start = start;
+          best_level = level[t];
+          best_task = t;
+          best_node = v;
+        }
+      }
+    }
+    builder.place(best_task, best_node, best_start);
+  }
+}
+
+void gdl(TimelineBuilder& builder) {
+  const InstanceView& view = builder.view();
+  std::vector<double> sl;
+  std::vector<double> mean_exec;
+  static_levels(view, sl);
+  mean_exec_times(view, mean_exec);
+  while (!builder.complete()) {
+    TaskId best_task = 0;
+    NodeId best_node = 0;
+    double best_start = 0.0;
+    double best_dl = -std::numeric_limits<double>::infinity();
+    bool found = false;
+    for (TaskId t : builder.ready_tasks()) {
+      const auto row = builder.eft_row(t, /*insertion=*/false);
+      for (NodeId v = 0; v < view.node_count(); ++v) {
+        const double delta = mean_exec[t] - builder.exec_time(t, v);
+        const double dl = sl[t] - row.start[v] + delta;
+        if (!found || dl > best_dl || (dl == best_dl && t < best_task)) {
+          best_dl = dl;
+          best_task = t;
+          best_node = v;
+          best_start = row.start[v];
+          found = true;
+        }
+      }
+    }
+    builder.place(best_task, best_node, best_start);
+  }
+}
+
+void bil(TimelineBuilder& builder) {
+  const InstanceView& view = builder.view();
+  const std::size_t n_nodes = view.node_count();
+  // The BIL table, by the scalar definition: exec time plus the worst
+  // successor's best continuation.
+  std::vector<double> table(view.task_count() * n_nodes, 0.0);
+  const auto order = view.topological_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const TaskId t = *it;
+    for (NodeId v = 0; v < n_nodes; ++v) {
+      double tail = 0.0;
+      for (const auto& edge : view.successors(t)) {
+        double best = table[edge.task * n_nodes + v];
+        for (NodeId v2 = 0; v2 < n_nodes; ++v2) {
+          best = std::min(best, table[edge.task * n_nodes + v2] +
+                                    view.comm_time(edge.cost, v, v2));
+        }
+        tail = std::max(tail, best);
+      }
+      table[t * n_nodes + v] = view.exec_time(t, v) + tail;
+    }
+  }
+  while (!builder.complete()) {
+    TaskId best_task = 0;
+    NodeId best_node = 0;
+    double best_start = 0.0;
+    double best_key = -std::numeric_limits<double>::infinity();
+    bool found = false;
+    for (TaskId t : builder.ready_tasks()) {
+      const auto row = builder.eft_row(t, /*insertion=*/false);
+      const double* bil_row = table.data() + t * n_nodes;
+      NodeId arg_node = 0;
+      double arg_start = 0.0;
+      double best_bim = std::numeric_limits<double>::infinity();
+      for (NodeId v = 0; v < n_nodes; ++v) {
+        const double bim = row.start[v] + bil_row[v];
+        if (bim < best_bim) {
+          best_bim = bim;
+          arg_node = v;
+          arg_start = row.start[v];
+        }
+      }
+      if (!found || best_bim > best_key || (best_bim == best_key && t < best_task)) {
+        best_key = best_bim;
+        best_task = t;
+        best_node = arg_node;
+        best_start = arg_start;
+        found = true;
+      }
+    }
+    builder.place(best_task, best_node, best_start);
+  }
+}
+
+void flb(TimelineBuilder& builder) {
+  const InstanceView& view = builder.view();
+  const auto enabling_node = [&](TaskId t) {
+    NodeId enabler = 0;
+    double last_arrival = -1.0;
+    for (const auto& edge : view.predecessors(t)) {
+      const auto& pa = builder.assignment_of(edge.task);
+      double worst = pa.finish;
+      for (NodeId v = 0; v < view.node_count(); ++v) {
+        worst = std::max(worst, pa.finish + view.comm_time(edge.cost, pa.node, v));
+      }
+      if (worst > last_arrival) {
+        last_arrival = worst;
+        enabler = pa.node;
+      }
+    }
+    return enabler;
+  };
+  while (!builder.complete()) {
+    TaskId best_task = 0;
+    NodeId best_node = 0;
+    double best_finish = std::numeric_limits<double>::infinity();
+    bool found = false;
+    for (TaskId t : builder.ready_tasks()) {
+      const auto avail = builder.node_available_row();
+      NodeId idle_node = 0;
+      for (NodeId v = 1; v < view.node_count(); ++v) {
+        if (avail[v] < avail[idle_node]) idle_node = v;
+      }
+      const NodeId enabler = enabling_node(t);
+      for (NodeId candidate : {idle_node, enabler}) {
+        const double finish = builder.earliest_finish(t, candidate, /*insertion=*/false);
+        if (!found || finish < best_finish || (finish == best_finish && t < best_task)) {
+          best_finish = finish;
+          best_task = t;
+          best_node = candidate;
+          found = true;
+        }
+      }
+    }
+    builder.place_earliest(best_task, best_node, /*insertion=*/false);
+  }
+}
+
+void wba(TimelineBuilder& builder, std::uint64_t seed, double tolerance) {
+  Rng rng(seed);
+  const InstanceView& view = builder.view();
+  std::vector<TaskId> opt_task;
+  std::vector<NodeId> opt_node;
+  std::vector<double> opt_increase;
+  std::vector<std::size_t> candidates;
+  while (!builder.complete()) {
+    opt_task.clear();
+    opt_node.clear();
+    opt_increase.clear();
+    double min_inc = std::numeric_limits<double>::infinity();
+    double max_inc = -std::numeric_limits<double>::infinity();
+    const double current = builder.current_makespan();
+    for (TaskId t : builder.ready_tasks()) {
+      const auto row = builder.eft_row(t, /*insertion=*/false);
+      for (NodeId v = 0; v < view.node_count(); ++v) {
+        const double increase = std::max(0.0, row.finish[v] - current);
+        opt_task.push_back(t);
+        opt_node.push_back(v);
+        opt_increase.push_back(increase);
+        min_inc = std::min(min_inc, increase);
+        max_inc = std::max(max_inc, increase);
+      }
+    }
+    const double band = min_inc + tolerance * (max_inc - min_inc);
+    candidates.clear();
+    for (std::size_t i = 0; i < opt_increase.size(); ++i) {
+      if (opt_increase[i] <= band + 1e-15) candidates.push_back(i);
+    }
+    const std::size_t chosen = candidates[rng.index(candidates.size())];
+    builder.place_earliest(opt_task[chosen], opt_node[chosen], /*insertion=*/false);
+  }
+}
+
+}  // namespace sweep
+
+/// Small instances built to tie: integer task costs in 0..3 (zero-cost
+/// tasks included), integer edge costs in 0..3 (zero-cost edges
+/// included), and homogeneous or 2-3-level node speeds and link strengths.
+ProblemInstance tie_heavy_instance(Rng& rng) {
+  const std::size_t tasks = 1 + rng.index(25);
+  const std::size_t nodes = 1 + rng.index(6);
+  ProblemInstance inst;
+  for (std::size_t i = 0; i < tasks; ++i) {
+    const TaskId t = inst.graph.add_task(static_cast<double>(rng.index(4)));
+    if (t == 0) continue;
+    const std::size_t preds = rng.index(4);
+    for (std::size_t p = 0; p < preds; ++p) {
+      const auto from = static_cast<TaskId>(rng.index(t));
+      (void)inst.graph.add_dependency(from, t, static_cast<double>(rng.index(4)));
+    }
+  }
+  static constexpr double kLevels[] = {1.0, 2.0, 4.0};
+  const std::size_t speed_levels = 1 + rng.index(3);
+  const std::size_t strength_levels = 1 + rng.index(3);
+  inst.network = Network(nodes);
+  for (NodeId v = 0; v < nodes; ++v) inst.network.set_speed(v, kLevels[rng.index(speed_levels)]);
+  for (NodeId a = 0; a < nodes; ++a) {
+    for (NodeId b = a + 1; b < nodes; ++b) {
+      inst.network.set_strength(a, b, kLevels[rng.index(strength_levels)]);
+    }
+  }
+  return inst;
+}
+
+struct SweepCase {
+  std::string label;
+  SchedulerPtr scheduler;
+  std::function<void(TimelineBuilder&)> reference;
+};
+
+std::vector<SweepCase> sweep_cases(std::uint64_t wba_seed) {
+  std::vector<SweepCase> cases;
+  cases.push_back({"MinMin", std::make_unique<MinMinScheduler>(), sweep::minmin});
+  cases.push_back({"MaxMin", std::make_unique<MaxMinScheduler>(), sweep::maxmin});
+  cases.push_back({"ETF", std::make_unique<EtfScheduler>(), sweep::etf});
+  cases.push_back({"GDL", std::make_unique<GdlScheduler>(), sweep::gdl});
+  cases.push_back({"BIL", std::make_unique<BilScheduler>(), sweep::bil});
+  cases.push_back({"FLB", std::make_unique<FlbScheduler>(), sweep::flb});
+  for (const double tolerance : {0.0, 0.5, 1.0}) {
+    cases.push_back({"WBA?tolerance=" + std::to_string(tolerance),
+                     std::make_unique<WbaScheduler>(wba_seed, tolerance),
+                     [wba_seed, tolerance](TimelineBuilder& builder) {
+                       sweep::wba(builder, wba_seed, tolerance);
+                     }});
+  }
+  return cases;
+}
+
+/// The scheduler's schedule (one-shot and through a warm arena) and its
+/// plan_makespan must equal the reference sweep's, assignment for
+/// assignment and bit for bit.
+void expect_matches_sweep(const SweepCase& c, const ProblemInstance& inst, TimelineArena& arena,
+                          const std::string& where) {
+  TimelineBuilder builder(inst, &arena);
+  c.reference(builder);
+  const Schedule expected = builder.to_schedule();
+  const double expected_makespan = builder.current_makespan();
+  for (const Schedule& actual : {c.scheduler->schedule(inst, &arena),
+                                 c.scheduler->schedule(inst, nullptr)}) {
+    ASSERT_EQ(actual.size(), expected.size()) << c.label << " " << where;
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      const Assignment& a = actual.assignments()[i];
+      const Assignment& e = expected.assignments()[i];
+      ASSERT_EQ(a.task, e.task) << c.label << " " << where;
+      ASSERT_EQ(a.node, e.node) << c.label << " " << where << " task " << e.task;
+      ASSERT_EQ(a.start, e.start) << c.label << " " << where << " task " << e.task;
+      ASSERT_EQ(a.finish, e.finish) << c.label << " " << where << " task " << e.task;
+    }
+  }
+  EXPECT_EQ(c.scheduler->plan_makespan(inst, &arena), expected_makespan) << c.label << " " << where;
+  EXPECT_EQ(c.scheduler->plan_makespan(inst, nullptr), expected_makespan)
+      << c.label << " " << where;
+}
+
+TEST(ReadyRows, MatchesPerStepSweepsOnTieHeavyInstances) {
+  const auto cases = sweep_cases(0x5a6a0001ULL);
+  TimelineArena arena;
+  Rng rng(2024);
+  for (int i = 0; i < 2000; ++i) {
+    const ProblemInstance inst = tie_heavy_instance(rng);
+    for (const auto& c : cases) {
+      expect_matches_sweep(c, inst, arena, "instance " + std::to_string(i));
+      if (HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(ReadyRows, MatchesPerStepSweepsOnWideWorkflow) {
+  // srasearch fans out into a wide ready set, so many rows are rescanned.
+  const auto source = datasets::DatasetRegistry::instance().make("srasearch?n=40", 1);
+  const auto cases = sweep_cases(7);
+  TimelineArena arena;
+  for (std::size_t index = 0; index < 3; ++index) {
+    const ProblemInstance inst = source->generate(index);
+    for (const auto& c : cases) {
+      expect_matches_sweep(c, inst, arena, "srasearch index " + std::to_string(index));
+    }
+  }
 }
 
 // --- patched view == freshly synced view -----------------------------------

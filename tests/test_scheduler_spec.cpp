@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "common/nearest.hpp"
 #include "core/annealer.hpp"
@@ -86,6 +88,32 @@ TEST(SchedulerParams, TypedConversionErrorsNameSchedulerAndKey) {
     EXPECT_NE(what.find("'GA'"), std::string::npos) << what;
     EXPECT_NE(what.find("'pop'"), std::string::npos) << what;
     EXPECT_NE(what.find("banana"), std::string::npos) << what;
+  }
+}
+
+TEST(SchedulerParams, OutOfRangeValuesAreRejectedNamingTheKey) {
+  // Each of these used to crash (empty WBA band, empty GA population) or
+  // hang (a cooling loop or binary search that never terminates).
+  const std::pair<const char*, const char*> rejected[] = {
+      {"WBA?tolerance=-1", "'tolerance'"},  {"WBA?tolerance=nan", "'tolerance'"},
+      {"WBA?tolerance=1.5", "'tolerance'"}, {"WBA?tolerance=inf", "'tolerance'"},
+      {"GA?pop=0", "'pop'"},                {"SimAnneal?alpha=1", "'alpha'"},
+      {"SimAnneal?alpha=0", "'alpha'"},     {"SimAnneal?alpha=nan", "'alpha'"},
+      {"SimAnneal?tmin=-1", "'tmin'"},      {"SimAnneal?tmax=inf", "'tmax'"},
+      {"SMT?epsilon=-1", "'epsilon'"},      {"SMT?epsilon=0", "'epsilon'"},
+      {"SMT?epsilon=nan", "'epsilon'"},
+  };
+  for (const auto& [spec, key] : rejected) {
+    try {
+      (void)SchedulerRegistry::instance().make(spec, 1);
+      ADD_FAILURE() << spec << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(key), std::string::npos) << spec << ": " << e.what();
+    }
+  }
+  for (const char* spec : {"WBA?tolerance=0", "WBA?tolerance=1", "GA?pop=1",
+                           "SimAnneal?alpha=0.5&tmin=0.1", "SMT?epsilon=0.5"}) {
+    EXPECT_NO_THROW((void)SchedulerRegistry::instance().make(spec, 1)) << spec;
   }
 }
 

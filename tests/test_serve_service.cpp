@@ -223,6 +223,16 @@ TEST(ServeService, ErrorContract) {
   EXPECT_EQ(resp.status, 200) << resp.body;
 }
 
+TEST(ServeService, OutOfRangeSchedulerParameterIsAJson400) {
+  ScheduleService service;
+  const HttpResponse resp = service.handle(make_request(
+      "POST", "/v1/schedule", R"({"scheduler": "WBA?tolerance=-1", "dataset": "chains"})"));
+  EXPECT_EQ(resp.status, 400);
+  const Json body = Json::parse(resp.body);
+  EXPECT_NE(resp.body.find("tolerance"), std::string::npos) << resp.body;
+  EXPECT_NE(body.find("error"), nullptr) << resp.body;
+}
+
 TEST(ServeService, HealthzIsStable) {
   ScheduleService service;
   const HttpResponse resp = service.handle(make_request("GET", "/healthz"));
