@@ -11,7 +11,6 @@
 #include "core/app_specific.hpp"
 #include "core/pairwise.hpp"
 #include "datasets/registry.hpp"
-#include "datasets/workflows/workflow.hpp"
 #include "sched/registry.hpp"
 
 /// \file app_specific_common.hpp
@@ -27,13 +26,14 @@ namespace saga::bench {
 /// for callers that aggregate.
 inline pisa::PairwiseResult run_app_specific_cell(const std::string& workflow, double ccr,
                                                   std::uint64_t seed) {
-  const auto& roster = app_specific_scheduler_names();
+  const auto roster = SchedulerRegistry::instance().names("app-specific");
 
   // Benchmarking row: an in-family dataset re-pinned to the CCR.
   const std::size_t count = scaled_count(100, 8);
-  auto dataset = datasets::generate_dataset(workflow, seed, count);
-  for (auto& inst : dataset.instances) workflows::set_homogeneous_ccr(inst, ccr);
-  const auto benchmark = analysis::benchmark_dataset(dataset, roster, seed);
+  char spec[128];
+  std::snprintf(spec, sizeof(spec), "%s?ccr=%.17g", workflow.c_str(), ccr);
+  const auto source = datasets::DatasetRegistry::instance().make(spec, seed);
+  const auto benchmark = analysis::benchmark_source(*source, workflow, count, roster, seed);
 
   // PISA grid with the workflow's restricted PERTURB implementation.
   pisa::PairwiseOptions options;

@@ -22,11 +22,12 @@ int main() {
 
   std::printf("\n%-12s %7s %7s %7s %7s %9s %7s %7s %9s %9s\n", "dataset", "tasks", "deps",
               "depth", "width", "parallel", "fan_in", "nodes", "speed_cv", "ccr");
-  for (const auto& spec : datasets::all_dataset_specs()) {
-    const std::size_t count = scaled_count(std::min<std::size_t>(spec.paper_instance_count, 100), 8);
+  for (const auto& name : datasets::DatasetRegistry::instance().names("table2")) {
+    const auto source = datasets::DatasetRegistry::instance().make(name, env_seed());
+    const std::size_t count = scaled_count(std::min<std::size_t>(source->size(), 100), 8);
     std::vector<double> tasks, deps, depth, width, parallelism, fan_in, nodes, speed_cv, ccr;
     for (std::size_t i = 0; i < count; ++i) {
-      const auto inst = datasets::generate_instance(spec.name, env_seed(), i);
+      const auto inst = source->generate(i);
       const auto gs = compute_graph_stats(inst.graph);
       tasks.push_back(static_cast<double>(gs.tasks));
       deps.push_back(static_cast<double>(gs.dependencies));
@@ -44,7 +45,7 @@ int main() {
       ccr.push_back(inst.ccr());
     }
     std::printf("%-12s %7.1f %7.1f %7.1f %7.1f %9.2f %7.2f %7.1f %9.2f %9.2f\n",
-                spec.name.c_str(), mean(tasks), mean(deps), mean(depth), mean(width),
+                name.c_str(), mean(tasks), mean(deps), mean(depth), mean(width),
                 mean(parallelism), mean(fan_in), mean(nodes), mean(speed_cv), mean(ccr));
   }
   std::printf("\n(parallel = total work / longest cost chain; speed_cv = stddev/mean of node "

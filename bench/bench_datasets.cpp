@@ -4,7 +4,7 @@
 ///   1. streaming instance-generation throughput (instances/sec through
 ///      InstanceSource::generate), and
 ///   2. an eager-vs-streaming peak-RSS note: materializing a large dataset
-///      the pre-registry way (generate_dataset into a std::vector) versus
+///      eagerly (every instance held in a std::vector) versus
 ///      streaming the same instances one at a time.
 ///
 /// Results are written to BENCH_datasets.json (or argv[1]) so future PRs
@@ -107,12 +107,17 @@ int main(int argc, char** argv) {
                  checksum);
   }
   const double rss_streaming = peak_rss_mib();
-  const auto eager = datasets::generate_dataset("chains", env_seed(), rss_count);
+  std::vector<ProblemInstance> eager;
+  eager.reserve(rss_count);
+  {
+    const auto source = datasets::DatasetRegistry::instance().make("chains", env_seed());
+    for (std::size_t i = 0; i < rss_count; ++i) eager.push_back(source->generate(i));
+  }
   const double rss_eager = peak_rss_mib();
   std::fprintf(stderr,
                "peak RSS: %.1f MiB before, %.1f MiB after streaming %zu instances, "
                "%.1f MiB after materializing them (%zu held)\n",
-               rss_before, rss_streaming, rss_count, rss_eager, eager.instances.size());
+               rss_before, rss_streaming, rss_count, rss_eager, eager.size());
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   if (out == nullptr) {

@@ -31,16 +31,17 @@ int main() {
   bench::ScopedTimer timer("ext total");
 
   // Combined roster: the 15 benchmark schedulers plus all extensions.
-  std::vector<std::string> roster = benchmark_scheduler_names();
-  roster.insert(roster.end(), extension_scheduler_names().begin(),
-                extension_scheduler_names().end());
+  const auto& registry = SchedulerRegistry::instance();
+  std::vector<std::string> roster = registry.names("benchmark", NameOrder::kLexicographic);
+  const auto extensions = registry.names("extension");
+  roster.insert(roster.end(), extensions.begin(), extensions.end());
 
   std::vector<analysis::DatasetBenchmark> benchmarks;
   for (const char* ds : {"chains", "blast", "montage", "epigenomics"}) {
     const std::size_t count = scaled_count(100, 8);
     bench::ScopedTimer dataset_timer{std::string(ds)};
-    benchmarks.push_back(analysis::benchmark_dataset(
-        datasets::generate_dataset(ds, env_seed(), count), roster, env_seed()));
+    const auto source = datasets::DatasetRegistry::instance().make(ds, env_seed());
+    benchmarks.push_back(analysis::benchmark_source(*source, ds, count, roster, env_seed()));
   }
   const auto table = analysis::benchmarking_table(
       benchmarks, roster, "benchmarking: max makespan ratio (combined roster baseline)");

@@ -20,12 +20,13 @@
 int main() {
   using namespace saga;
   bench::banner("bench_fig03_network_sensitivity", "Fig. 3 (HEFT/CPoP network sensitivity)");
+  const auto& registry = SchedulerRegistry::instance();
 
   for (bool weakened : {false, true}) {
     const auto inst = families::fig3_instance(weakened);
     std::printf("\n--- %s network ---\n", weakened ? "modified (s(*,3)=0.5)" : "original");
     for (const char* name : {"HEFT", "CPoP"}) {
-      const auto schedule = make_scheduler(name)->schedule(inst);
+      const auto schedule = registry.make(name, kDefaultSchedulerSeed)->schedule(inst);
       std::printf("%s:\n%s", name, analysis::render_gantt(inst, schedule).c_str());
     }
   }
@@ -36,8 +37,8 @@ int main() {
     auto inst = families::fig3_instance(false);
     inst.network.set_strength(0, 2, strength);
     inst.network.set_strength(1, 2, strength);
-    const double heft = make_scheduler("HEFT")->schedule(inst).makespan();
-    const double cpop = make_scheduler("CPoP")->schedule(inst).makespan();
+    const double heft = registry.make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan();
+    const double cpop = registry.make("CPoP", kDefaultSchedulerSeed)->schedule(inst).makespan();
     std::printf("%-10.2f %10.3f %10.3f %10.3f\n", strength, heft, cpop, heft / cpop);
   }
   return 0;

@@ -25,8 +25,9 @@ namespace {
 void run_direction(const char* target_name, const char* baseline_name, double paper_ratio,
                    std::uint64_t seed) {
   using namespace saga;
-  const auto target = make_scheduler(target_name);
-  const auto baseline = make_scheduler(baseline_name);
+  const auto& registry = SchedulerRegistry::instance();
+  const auto target = registry.make(target_name, kDefaultSchedulerSeed);
+  const auto baseline = registry.make(baseline_name, kDefaultSchedulerSeed);
 
   pisa::PisaOptions options;
   options.restarts = scaled_count(5, 5);
@@ -36,7 +37,7 @@ void run_direction(const char* target_name, const char* baseline_name, double pa
   std::printf("found ratio: %.3f (paper's example: %.2f)\n", result.best_ratio, paper_ratio);
   std::printf("witness instance:\n%s", instance_to_string(result.best_instance).c_str());
   for (const auto* s : {target_name, baseline_name}) {
-    const auto schedule = make_scheduler(s)->schedule(result.best_instance);
+    const auto schedule = registry.make(s, kDefaultSchedulerSeed)->schedule(result.best_instance);
     std::printf("%s schedule:\n%s", s, analysis::render_gantt(result.best_instance, schedule).c_str());
   }
 }

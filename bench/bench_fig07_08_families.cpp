@@ -23,8 +23,8 @@ void run_family(const char* title, const char* expectation,
                 saga::ProblemInstance (*make)(std::uint64_t), std::size_t samples,
                 std::uint64_t seed) {
   using namespace saga;
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   std::vector<double> heft_ms, cpop_ms;
   std::size_t heft_wins = 0, cpop_wins = 0;
   for (std::size_t i = 0; i < samples; ++i) {

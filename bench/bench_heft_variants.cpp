@@ -50,8 +50,9 @@ int main() {
   for (const char* dataset : {"chains", "montage", "genome"}) {
     const std::size_t count = scaled_count(100, 20);
     std::vector<std::vector<double>> makespans(std::size(kVariants));
+    const auto source = datasets::DatasetRegistry::instance().make(dataset, env_seed());
     for (std::size_t i = 0; i < count; ++i) {
-      const auto inst = datasets::generate_instance(dataset, env_seed(), i);
+      const auto inst = source->generate(i);
       std::vector<double> row;
       for (const auto& nv : kVariants) {
         row.push_back(HeftScheduler(nv.variant).schedule(inst).makespan());

@@ -32,7 +32,8 @@ int main() {
   bench::banner("bench_hybrid_portfolio", "Section VII/VIII hybrid-scheduler construction");
   bench::ScopedTimer timer("hybrid total");
 
-  const auto& roster = app_specific_scheduler_names();
+  const auto& registry = SchedulerRegistry::instance();
+  const auto roster = registry.names("app-specific");
   const std::size_t n = roster.size();
   const std::size_t restarts = scaled_count(5, 5);
 
@@ -42,8 +43,8 @@ int main() {
     for (std::size_t b = 0; b < n; ++b) {
       if (t == b) continue;
       const std::uint64_t pair_seed = derive_seed(env_seed(), {t, b});
-      const auto target = make_scheduler(roster[t], pair_seed);
-      const auto baseline = make_scheduler(roster[b], pair_seed);
+      const auto target = registry.make(roster[t], pair_seed);
+      const auto baseline = registry.make(roster[b], pair_seed);
       pisa::PisaOptions options;
       options.restarts = restarts;
       witnesses.push_back(
@@ -56,7 +57,7 @@ int main() {
   std::vector<std::vector<double>> makespans(witnesses.size(), std::vector<double>(n, 0.0));
   for (std::size_t w = 0; w < witnesses.size(); ++w) {
     for (std::size_t s = 0; s < n; ++s) {
-      const auto scheduler = make_scheduler(roster[s], derive_seed(env_seed(), {9, s}));
+      const auto scheduler = registry.make(roster[s], derive_seed(env_seed(), {9, s}));
       makespans[w][s] = scheduler->schedule(witnesses[w]).makespan();
     }
   }

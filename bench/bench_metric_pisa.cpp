@@ -28,8 +28,9 @@ using namespace saga;
 
 double metric_pisa(const std::string& target_name, const std::string& baseline_name,
                    metrics::Metric metric, std::size_t restarts, std::uint64_t seed) {
-  const auto target = make_scheduler(target_name, derive_seed(seed, {1}));
-  const auto baseline = make_scheduler(baseline_name, derive_seed(seed, {2}));
+  const auto& registry = SchedulerRegistry::instance();
+  const auto target = registry.make(target_name, derive_seed(seed, {1}));
+  const auto baseline = registry.make(baseline_name, derive_seed(seed, {2}));
   const auto reqs = pisa::combine(target->requirements(), baseline->requirements());
   pisa::PerturbationConfig config;
   pisa::apply_requirements(config, reqs);

@@ -24,7 +24,9 @@ using namespace saga;
 
 double probe(const char* target, const char* baseline, const pisa::PisaOptions& options,
              std::uint64_t seed) {
-  return pisa::run_pisa(*make_scheduler(target), *make_scheduler(baseline), options, seed)
+  const auto& registry = SchedulerRegistry::instance();
+  return pisa::run_pisa(*registry.make(target, kDefaultSchedulerSeed),
+                        *registry.make(baseline, kDefaultSchedulerSeed), options, seed)
       .best_ratio;
 }
 

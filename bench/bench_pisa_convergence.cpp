@@ -30,8 +30,9 @@ std::vector<double> mean_trajectory(const std::string& target_name,
   params.t_min = 1e-12;  // let iteration count bind so late checkpoints exist
   params.alpha = 0.995;
 
-  const auto target = make_scheduler(target_name, derive_seed(seed, {1}));
-  const auto baseline = make_scheduler(baseline_name, derive_seed(seed, {2}));
+  const auto& registry = SchedulerRegistry::instance();
+  const auto target = registry.make(target_name, derive_seed(seed, {1}));
+  const auto baseline = registry.make(baseline_name, derive_seed(seed, {2}));
   const auto reqs = pisa::combine(target->requirements(), baseline->requirements());
   pisa::PerturbationConfig config;
   pisa::apply_requirements(config, reqs);

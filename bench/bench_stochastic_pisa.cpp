@@ -50,8 +50,8 @@ int main() {
                 "PISA with an expected-makespan-ratio objective (future-work composition)");
   bench::ScopedTimer timer("stochastic pisa total");
 
-  const auto heft = make_scheduler("HEFT");
-  const auto fastest = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto fastest = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   const std::size_t samples = 16;  // per objective evaluation
   const std::size_t restarts = saga::scaled_count(5, 3);
 

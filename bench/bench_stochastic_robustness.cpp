@@ -17,10 +17,10 @@
 /// construction — serialising is insensitive to weight noise).
 
 #include <cstdio>
+#include <string>
 
 #include "bench_common.hpp"
 #include "datasets/registry.hpp"
-#include "datasets/workflows/workflow.hpp"
 #include "sched/registry.hpp"
 #include "stochastic/robustness.hpp"
 
@@ -32,8 +32,9 @@ int main() {
 
   const std::size_t samples = scaled_count(200, 30);
   for (const char* workflow : {"blast", "montage"}) {
-    auto base = datasets::generate_instance(workflow, env_seed(), 0);
-    workflows::set_homogeneous_ccr(base, 1.0);
+    const auto base =
+        datasets::DatasetRegistry::instance().make(std::string(workflow) + "?ccr=1", env_seed())
+            ->generate(0);
     for (double cv : {0.1, 0.3, 0.5}) {
       stochastic::StochasticInstance stoch(base);
       stoch.apply_relative_noise(cv);
@@ -41,8 +42,8 @@ int main() {
                   cv, samples);
       std::printf("%-12s %10s  %-52s %s\n", "scheduler", "planned", "realized makespan",
                   "regret (realized/replanned)");
-      for (const auto& name : app_specific_scheduler_names()) {
-        const auto scheduler = make_scheduler(name, env_seed());
+      for (const auto& name : SchedulerRegistry::instance().names("app-specific")) {
+        const auto scheduler = SchedulerRegistry::instance().make(name, env_seed());
         const auto report =
             stochastic::evaluate_robustness(*scheduler, stoch, samples, env_seed());
         std::printf("%-12s %10.2f  %-52s mean=%.3f max=%.3f\n", name.c_str(),

@@ -25,8 +25,9 @@ int main(int argc, char** argv) {
   const std::size_t restarts = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 10;
   const std::uint64_t seed = argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 42;
 
-  const auto target = make_scheduler(target_name);
-  const auto baseline = make_scheduler(baseline_name);
+  const auto& registry = SchedulerRegistry::instance();
+  const auto target = registry.make(target_name, kDefaultSchedulerSeed);
+  const auto baseline = registry.make(baseline_name, kDefaultSchedulerSeed);
 
   std::printf("searching for instances where %s maximally underperforms %s\n",
               target_name.c_str(), baseline_name.c_str());
@@ -45,7 +46,8 @@ int main(int argc, char** argv) {
   std::printf("witness instance (save this text; load_instance replays it):\n%s\n",
               instance_to_string(result.best_instance).c_str());
   for (const auto& name : {target_name, baseline_name}) {
-    const auto schedule = make_scheduler(name)->schedule(result.best_instance);
+    const auto scheduler = registry.make(name, kDefaultSchedulerSeed);
+    const auto schedule = scheduler->schedule(result.best_instance);
     std::printf("%s schedule:\n%s\n", name.c_str(),
                 analysis::render_gantt(result.best_instance, schedule).c_str());
   }

@@ -28,21 +28,24 @@ int main(int argc, char** argv) {
 
   std::printf("dataset=%s instances=%zu seed=%llu\n", dataset_name.c_str(), instances,
               static_cast<unsigned long long>(seed));
+  const auto& registry = datasets::DatasetRegistry::instance();
   std::printf("available datasets:");
-  for (const auto& spec : datasets::all_dataset_specs()) std::printf(" %s", spec.name.c_str());
+  for (const auto& name : registry.names("table2")) std::printf(" %s", name.c_str());
   std::printf("\n\n");
 
-  const auto dataset = datasets::generate_dataset(dataset_name, seed, instances);
+  const auto roster =
+      SchedulerRegistry::instance().names("benchmark", NameOrder::kLexicographic);
+  const auto source = registry.make(dataset_name, seed);
   const auto benchmark =
-      analysis::benchmark_dataset(dataset, benchmark_scheduler_names(), seed);
+      analysis::benchmark_source(*source, dataset_name, instances, roster, seed);
 
   std::printf("%-12s %s\n", "scheduler", "makespan ratio distribution");
   for (const auto& sb : benchmark.per_scheduler) {
     std::printf("%-12s %s\n", sb.scheduler.c_str(), to_string(sb.summary).c_str());
   }
 
-  const auto table = analysis::benchmarking_table({benchmark}, benchmark_scheduler_names(),
-                                                  "max makespan ratio (Fig. 2 row)");
+  const auto table =
+      analysis::benchmarking_table({benchmark}, roster, "max makespan ratio (Fig. 2 row)");
   std::printf("\n%s", table.render().c_str());
   return 0;
 }

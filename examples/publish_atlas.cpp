@@ -26,14 +26,15 @@ int main(int argc, char** argv) {
   const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
 
   analysis::Atlas atlas;
-  const auto& roster = app_specific_scheduler_names();
+  const auto& registry = SchedulerRegistry::instance();
+  const auto roster = registry.names("app-specific");
   std::uint64_t pair_index = 0;
   for (const auto& target_name : roster) {
     for (const auto& baseline_name : roster) {
       if (target_name == baseline_name) continue;
       const std::uint64_t pair_seed = derive_seed(seed, {pair_index});
-      const auto target = make_scheduler(target_name, pair_seed);
-      const auto baseline = make_scheduler(baseline_name, pair_seed);
+      const auto target = registry.make(target_name, pair_seed);
+      const auto baseline = registry.make(baseline_name, pair_seed);
       pisa::PisaOptions options;
       options.restarts = restarts;
       const auto result =

@@ -3,8 +3,8 @@
 /// Builds the 4-task diamond task graph and 3-node network from Fig. 1,
 /// runs a handful of schedulers on it, validates every schedule, and prints
 /// ASCII Gantt charts. This is the smallest complete tour of the public
-/// API: TaskGraph/Network construction, Scheduler, Schedule validation,
-/// and the Gantt renderer.
+/// API: TaskGraph/Network construction, the SchedulerRegistry, Schedule
+/// validation, and the Gantt renderer.
 
 #include <cstdlib>
 #include <iostream>
@@ -21,7 +21,8 @@ int main() {
             << saga::instance_to_string(inst) << "\n";
 
   for (const char* name : {"HEFT", "CPoP", "MinMin", "FastestNode", "BruteForce"}) {
-    const auto scheduler = saga::make_scheduler(name);
+    const auto scheduler =
+        saga::SchedulerRegistry::instance().make(name, saga::kDefaultSchedulerSeed);
     const saga::Schedule schedule = scheduler->schedule(inst);
     const auto validation = schedule.validate(inst);
     if (!validation.ok) {

@@ -23,7 +23,6 @@
 #include "analysis/benchmarking.hpp"
 #include "common/rng.hpp"
 #include "datasets/registry.hpp"
-#include "datasets/workflows/workflow.hpp"
 #include "sched/registry.hpp"
 
 int main(int argc, char** argv) {
@@ -32,8 +31,9 @@ int main(int argc, char** argv) {
   const std::size_t instances = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 10;
   const std::uint64_t seed = argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 42;
 
-  const auto& roster = app_specific_scheduler_names();
-  const auto& workflows_list = datasets::workflow_dataset_names();
+  const auto& registry = SchedulerRegistry::instance();
+  const auto roster = registry.names("app-specific");
+  const auto workflows_list = datasets::DatasetRegistry::instance().names("workflow");
   const std::vector<double> ccrs = {0.2, 1.0, 5.0};
 
   // makespans[cell][instance][scheduler].
@@ -48,12 +48,15 @@ int main(int argc, char** argv) {
     for (double ccr : ccrs) {
       Cell cell;
       cell.label = workflow + " (CCR=" + std::to_string(ccr).substr(0, 3) + ")";
+      // The workflow's ccr= parameter re-pins every instance's links to the
+      // CCR on the family's own seed stream.
+      const auto source = datasets::DatasetRegistry::instance().make(
+          workflow + "?ccr=" + std::to_string(ccr), seed);
       for (std::size_t i = 0; i < instances; ++i) {
-        auto inst = datasets::generate_instance(workflow, seed, i);
-        workflows::set_homogeneous_ccr(inst, ccr);
+        const auto inst = source->generate(i);
         std::vector<double> row;
         for (std::size_t s = 0; s < roster.size(); ++s) {
-          const auto scheduler = make_scheduler(roster[s], derive_seed(seed, {s, i}));
+          const auto scheduler = registry.make(roster[s], derive_seed(seed, {s, i}));
           row.push_back(scheduler->schedule(inst).makespan());
         }
         cell.makespans.push_back(std::move(row));

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   const std::string dataset = argc > 1 ? argv[1] : "srasearch";
   const std::uint64_t seed = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
 
-  const auto inst = datasets::generate_instance(dataset, seed, 0);
+  const auto inst = datasets::DatasetRegistry::instance().make(dataset, seed)->generate(0);
   const auto& g = inst.graph;
 
   std::printf("%s instance (seed %llu): %zu tasks, %zu dependencies, %zu-node network\n\n",
@@ -42,7 +42,8 @@ int main(int argc, char** argv) {
   for (TaskId t : cp) std::printf(" %s", g.name(t).c_str());
   std::printf("\nCCR (this instance): %.3f\n\n", inst.ccr());
 
-  const auto schedule = make_scheduler("HEFT")->schedule(inst);
+  const auto schedule =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   std::printf("HEFT schedule:\n%s", analysis::render_gantt(inst, schedule).c_str());
   return 0;
 }

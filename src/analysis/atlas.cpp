@@ -111,8 +111,8 @@ Atlas Atlas::load(const std::filesystem::path& dir) {
 std::vector<std::string> Atlas::verify(double tol) const {
   std::vector<std::string> mismatches;
   for (const auto& entry : entries_) {
-    const auto target = make_scheduler(entry.target, entry.seed);
-    const auto baseline = make_scheduler(entry.baseline, entry.seed);
+    const auto target = SchedulerRegistry::instance().make(entry.target, entry.seed);
+    const auto baseline = SchedulerRegistry::instance().make(entry.baseline, entry.seed);
     const double measured = pisa::makespan_ratio(*target, *baseline, entry.instance);
     const double reference = std::max(std::abs(entry.ratio), 1e-12);
     if (std::abs(measured - entry.ratio) > tol * reference) {

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "graph/problem_instance.hpp"
+#include "sched/scheduler.hpp"
 
 /// \file atlas.hpp
 /// The adversarial-instance atlas: a directory-based store for problem
@@ -36,7 +37,7 @@ struct AtlasEntry {
   /// Seed the schedulers were constructed with at discovery time (only
   /// randomized schedulers, i.e. WBA/GA/SimAnneal, consume it). Recorded
   /// so `verify` replays with the exact same scheduler instances.
-  std::uint64_t seed = 0x5a6a0001ULL;
+  std::uint64_t seed = kDefaultSchedulerSeed;
   ProblemInstance instance;
 };
 

@@ -1,6 +1,5 @@
 #include "analysis/benchmarking.hpp"
 
-#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -19,38 +18,6 @@ const SchedulerBenchmark& DatasetBenchmark::for_scheduler(const std::string& nam
   }
   throw std::out_of_range("scheduler not in benchmark: " + name);
 }
-
-namespace {
-
-/// Shared core of the eager and streaming entry points: `instance_at` hands
-/// each worker its instance (an in-memory vector element or a streamed
-/// generate(i) call); everything downstream is identical, so both paths
-/// produce bit-identical ratios.
-DatasetBenchmark benchmark_instances(
-    std::string label, std::size_t n_instances,
-    const std::function<saga::ProblemInstance(std::size_t)>& instance_at,
-    const std::vector<std::string>& scheduler_names, std::uint64_t seed,
-    saga::ThreadPool* pool) {
-  const std::size_t n_schedulers = scheduler_names.size();
-
-  // makespans[s][i]: scheduler s on instance i.
-  std::vector<std::vector<double>> makespans(n_schedulers,
-                                             std::vector<double>(n_instances, 0.0));
-
-  (pool != nullptr ? *pool : saga::global_pool()).parallel_for(n_instances, [&](std::size_t i) {
-    const saga::ProblemInstance inst = instance_at(i);
-    thread_local saga::TimelineArena arena;
-    for (std::size_t s = 0; s < n_schedulers; ++s) {
-      const auto scheduler =
-          saga::make_scheduler(scheduler_names[s], saga::derive_seed(seed, {0xbe5cULL, s, i}));
-      makespans[s][i] = scheduler->schedule(inst, &arena).makespan();
-    }
-  });
-
-  return assemble_benchmark(std::move(label), makespans, scheduler_names);
-}
-
-}  // namespace
 
 DatasetBenchmark assemble_benchmark(std::string label,
                                     const std::vector<std::vector<double>>& makespans,
@@ -77,21 +44,27 @@ DatasetBenchmark assemble_benchmark(std::string label,
   return result;
 }
 
-DatasetBenchmark benchmark_dataset(const saga::Dataset& dataset,
-                                   const std::vector<std::string>& scheduler_names,
-                                   std::uint64_t seed, saga::ThreadPool* pool) {
-  return benchmark_instances(
-      dataset.name, dataset.instances.size(),
-      [&dataset](std::size_t i) { return dataset.instances[i]; }, scheduler_names, seed, pool);
-}
-
 DatasetBenchmark benchmark_source(const saga::datasets::InstanceSource& source,
                                   std::string label, std::size_t count,
                                   const std::vector<std::string>& scheduler_names,
                                   std::uint64_t seed, saga::ThreadPool* pool) {
-  return benchmark_instances(
-      std::move(label), count, [&source](std::size_t i) { return source.generate(i); },
-      scheduler_names, seed, pool);
+  const std::size_t n_schedulers = scheduler_names.size();
+  const auto& registry = saga::SchedulerRegistry::instance();
+
+  // makespans[s][i]: scheduler s on instance i.
+  std::vector<std::vector<double>> makespans(n_schedulers, std::vector<double>(count, 0.0));
+
+  (pool != nullptr ? *pool : saga::global_pool()).parallel_for(count, [&](std::size_t i) {
+    const saga::ProblemInstance inst = source.generate(i);
+    thread_local saga::TimelineArena arena;
+    for (std::size_t s = 0; s < n_schedulers; ++s) {
+      const auto scheduler =
+          registry.make(scheduler_names[s], saga::derive_seed(seed, {0xbe5cULL, s, i}));
+      makespans[s][i] = scheduler->schedule(inst, &arena).makespan();
+    }
+  });
+
+  return assemble_benchmark(std::move(label), makespans, scheduler_names);
 }
 
 }  // namespace saga::analysis

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/stats.hpp"
-#include "datasets/dataset.hpp"
 #include "sched/scheduler.hpp"
 
 /// \file benchmarking.hpp
@@ -38,17 +37,8 @@ struct DatasetBenchmark {
   [[nodiscard]] const SchedulerBenchmark& for_scheduler(const std::string& name) const;
 };
 
-/// Runs all `scheduler_names` (names or spec strings) on every instance;
-/// the ratio baseline is the minimum makespan across the same roster (the
-/// paper's convention). Parallel over instances; deterministic regardless
-/// of thread count. `pool` null means the global pool.
-[[nodiscard]] DatasetBenchmark benchmark_dataset(const saga::Dataset& dataset,
-                                                 const std::vector<std::string>& scheduler_names,
-                                                 std::uint64_t seed,
-                                                 saga::ThreadPool* pool = nullptr);
-
-/// Assembly tail shared by the eager/streaming drivers and the result-store
-/// merge path: turns a makespan matrix `makespans[s][i]` (scheduler s on
+/// Assembly tail shared by benchmark_source and the result-store merge
+/// path: turns a makespan matrix `makespans[s][i]` (scheduler s on
 /// instance i) into per-scheduler ratios against the per-instance roster
 /// minimum, plus summaries. Keeping this a single function is what makes a
 /// merged shard decomposition bit-identical to the monolithic run.
@@ -56,11 +46,14 @@ struct DatasetBenchmark {
     std::string label, const std::vector<std::vector<double>>& makespans,
     const std::vector<std::string>& scheduler_names);
 
-/// Streaming variant: pulls instances 0..count-1 on demand from `source`
-/// inside the workers (InstanceSource::generate is pure and thread-safe),
-/// so the dataset is never materialized. Produces results bit-identical to
-/// benchmark_dataset over the eagerly generated equivalent; `label` names
-/// the dataset in the result (typically the selection's spec string).
+/// Runs all `scheduler_names` (names or spec strings) on instances
+/// 0..count-1 of `source`; the ratio baseline is the minimum makespan
+/// across the same roster (the paper's convention). Workers pull their
+/// instances on demand (InstanceSource::generate is pure and thread-safe),
+/// so the dataset is never materialized. Parallel over instances;
+/// deterministic regardless of thread count. `label` names the dataset in
+/// the result (typically the selection's spec string). `pool` null means
+/// the global pool.
 [[nodiscard]] DatasetBenchmark benchmark_source(const saga::datasets::InstanceSource& source,
                                                 std::string label, std::size_t count,
                                                 const std::vector<std::string>& scheduler_names,

@@ -60,8 +60,9 @@ PairwiseResult pairwise_compare(const std::vector<std::string>& scheduler_names,
     // Fresh scheduler objects per cell: schedulers are stateless apart from
     // the randomized ones' seeds, which we derive per cell for independence.
     const CellSeeds seeds = pairwise_cell_seeds(seed, row, col);
-    const auto baseline = make_scheduler(scheduler_names[row], seeds.baseline);
-    const auto target = make_scheduler(scheduler_names[col], seeds.target);
+    const auto& registry = SchedulerRegistry::instance();
+    const auto baseline = registry.make(scheduler_names[row], seeds.baseline);
+    const auto target = registry.make(scheduler_names[col], seeds.target);
     auto cell_result = run_pisa(*target, *baseline, options.pisa, seeds.anneal, &arena);
     result.ratio[row][col] = cell_result.best_ratio;
     result.best_instance[row][col] = std::move(cell_result.best_instance);

@@ -1,30 +1,11 @@
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
-
-#include "graph/problem_instance.hpp"
-
 /// \file dataset.hpp
-/// A dataset is a named collection of problem instances (paper Table II).
-/// Generators are deterministic in (seed, index), so datasets can be
-/// regenerated instance-by-instance in parallel.
+/// Constants shared by the dataset generators (paper Table II). Datasets
+/// themselves are streaming InstanceSources built through the
+/// DatasetRegistry (datasets/registry.hpp).
 
 namespace saga {
-
-struct Dataset {
-  std::string name;
-  std::vector<ProblemInstance> instances;
-};
-
-/// Paper-default instance counts: 1000 for the random-graph and IoT
-/// datasets, 100 for the scientific-workflow datasets.
-struct DatasetSpec {
-  std::string name;
-  std::size_t paper_instance_count = 0;
-};
 
 /// Weight-sanitising floor applied to sampled network weights: the paper's
 /// clipped Gaussians allow 0, but a zero speed/strength makes every

@@ -18,7 +18,7 @@
 namespace saga::datasets {
 
 void register_builtin_datasets(DatasetRegistry& registry) {
-  // Table II order (the historical all_dataset_specs() roster)...
+  // Table II order (the `table2` roster)...
   register_random_graph_datasets(registry);
   workflows::register_blast_dataset(registry);
   workflows::register_bwa_dataset(registry);

@@ -90,38 +90,4 @@ void check_param_range(const std::string& dataset, const char* key, std::int64_t
                               (zero_is_default ? " (or 0 for the paper draw)" : ""));
 }
 
-/// ---- Compatibility shims ------------------------------------------------
-
-saga::ProblemInstance generate_instance(const std::string& dataset, std::uint64_t master_seed,
-                                        std::size_t index) {
-  return DatasetRegistry::instance().make(dataset, master_seed)->generate(index);
-}
-
-const std::vector<saga::DatasetSpec>& all_dataset_specs() {
-  static const std::vector<saga::DatasetSpec> specs = [] {
-    std::vector<saga::DatasetSpec> out;
-    for (const auto& desc : DatasetRegistry::instance().descriptors()) {
-      if (desc.has_tag("table2")) out.push_back({desc.name, desc.paper_count});
-    }
-    return out;
-  }();
-  return specs;
-}
-
-const std::vector<std::string>& workflow_dataset_names() {
-  static const std::vector<std::string> names =
-      DatasetRegistry::instance().names("workflow");
-  return names;
-}
-
-saga::Dataset generate_dataset(const std::string& dataset, std::uint64_t master_seed,
-                               std::size_t count) {
-  const auto source = DatasetRegistry::instance().make(dataset, master_seed);
-  saga::Dataset out;
-  out.name = dataset;
-  out.instances.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.instances.push_back(source->generate(i));
-  return out;
-}
-
 }  // namespace saga::datasets

@@ -10,7 +10,6 @@
 
 #include "common/registry.hpp"
 #include "common/spec.hpp"
-#include "datasets/dataset.hpp"
 #include "datasets/source.hpp"
 
 /// \file registry.hpp (datasets)
@@ -100,29 +99,5 @@ void check_param_range(const std::string& dataset, const char* key, std::int64_t
 /// descriptor lives in its family's own .cpp). Called once by
 /// DatasetRegistry::instance().
 void register_builtin_datasets(DatasetRegistry& registry);
-
-/// ---- Thin compatibility shims over the registry ------------------------
-/// These preserve the historical entry points bit for bit: paper-default
-/// instances are identical through the shims and through spec strings (the
-/// golden digest suite pins this).
-
-/// A single instance of the named dataset (name or spec string),
-/// deterministic in (master_seed, index). Throws std::invalid_argument for
-/// unknown names, with a nearest-name suggestion.
-[[nodiscard]] saga::ProblemInstance generate_instance(const std::string& dataset,
-                                                      std::uint64_t master_seed,
-                                                      std::size_t index);
-
-/// Dataset names in the paper's Table II order, with paper instance counts
-/// (1000 for random/IoT datasets, 100 for scientific workflows).
-[[nodiscard]] const std::vector<saga::DatasetSpec>& all_dataset_specs();
-
-/// The nine scientific-workflow dataset names (Section VII uses these).
-[[nodiscard]] const std::vector<std::string>& workflow_dataset_names();
-
-/// Eagerly materializes `count` instances of the named dataset (indices
-/// 0..count-1). Prefer streaming through DatasetRegistry::make + generate.
-[[nodiscard]] saga::Dataset generate_dataset(const std::string& dataset,
-                                             std::uint64_t master_seed, std::size_t count);
 
 }  // namespace saga::datasets

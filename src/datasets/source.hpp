@@ -41,15 +41,15 @@ class InstanceSource {
 
 using InstanceSourcePtr = std::unique_ptr<InstanceSource>;
 
-/// FNV-1a hash of a dataset name, the per-instance seed-stream selector
-/// historically used by datasets::generate_instance. Kept stable so
-/// paper-default instances are bit-identical through every entry point.
+/// FNV-1a hash of a dataset name, the per-instance seed-stream selector.
+/// Kept stable so paper-default instances stay bit-identical (the dataset
+/// digest suite pins them).
 [[nodiscard]] std::uint64_t dataset_name_hash(std::string_view name) noexcept;
 
 /// Adapts a plain `seed -> instance` generator into a source: instance i is
 /// generated from derive_seed(master_seed, {dataset_name_hash(stream), i}),
-/// where `stream` is the canonical dataset name — exactly the historical
-/// generate_instance seed derivation. `display` defaults to `stream`; pass
+/// where `stream` is the canonical dataset name, so parameterized specs of
+/// one family share its seed stream. `display` defaults to `stream`; pass
 /// the full spec string for parameterized sources.
 class GeneratorSource final : public InstanceSource {
  public:

@@ -60,7 +60,7 @@ ProblemInstance load_instance_ref(const InstanceRef& ref, std::uint64_t seed) {
     if (!in) throw std::runtime_error("cannot open instance file " + ref.file);
     return load_instance(in);
   }
-  return datasets::generate_instance(ref.dataset, seed, ref.index);
+  return make_source(ref.dataset, seed)->generate(ref.index);
 }
 
 }  // namespace
@@ -332,7 +332,7 @@ Json execute_cell(const ExperimentSpec& spec, const CellPlan& plan, const WorkCe
       const ProblemInstance inst = plan.sources[cell.dataset]->generate(cell.instance);
       JsonArray makespans;
       for (std::size_t s = 0; s < plan.roster.size(); ++s) {
-        const auto scheduler = make_scheduler(
+        const auto scheduler = SchedulerRegistry::instance().make(
             plan.roster[s], derive_seed(spec.seed, {0xbe5cULL, s, cell.instance}));
         makespans.push_back(encode_double(scheduler->schedule(inst, &arena).makespan()));
       }
@@ -341,8 +341,9 @@ Json execute_cell(const ExperimentSpec& spec, const CellPlan& plan, const WorkCe
     }
     case Mode::kPisaPairwise: {
       const pisa::CellSeeds seeds = pisa::pairwise_cell_seeds(spec.seed, cell.row, cell.col);
-      const auto baseline = make_scheduler(plan.roster[cell.row], seeds.baseline);
-      const auto target = make_scheduler(plan.roster[cell.col], seeds.target);
+      const auto& registry = SchedulerRegistry::instance();
+      const auto baseline = registry.make(plan.roster[cell.row], seeds.baseline);
+      const auto target = registry.make(plan.roster[cell.col], seeds.target);
       auto cell_result =
           pisa::run_pisa(*target, *baseline, pisa_options, seeds.anneal, &arena);
       payload.set("ratio", encode_double(cell_result.best_ratio));
@@ -376,7 +377,7 @@ Json execute_cell(const ExperimentSpec& spec, const CellPlan& plan, const WorkCe
 
 std::string annotate_scheduler_seed(const std::string& spec_string,
                                     std::uint64_t derived_seed) {
-  SchedulerSpec spec = parse_scheduler_spec(spec_string);
+  Spec spec = parse_spec(spec_string, "scheduler");
   const SchedulerDesc& desc = SchedulerRegistry::instance().resolve(spec.name);
   if (!desc.randomized || spec.find("seed") != nullptr) return spec_string;
   spec.params.emplace_back("seed", std::to_string(derived_seed));

@@ -134,19 +134,6 @@ OnlinePolicyPtr make_online_random(std::uint64_t seed) {
   return std::make_unique<RandomPolicy>(seed);
 }
 
-std::vector<std::string> online_policy_names() {
-  return {"online-EFT", "online-RR", "online-Fastest", "online-Locality", "online-Random"};
-}
-
-OnlinePolicyPtr make_online_policy(const std::string& name, std::uint64_t seed) {
-  if (name == "online-EFT") return make_online_eft();
-  if (name == "online-RR") return make_online_round_robin();
-  if (name == "online-Fastest") return make_online_fastest();
-  if (name == "online-Locality") return make_online_locality();
-  if (name == "online-Random") return make_online_random(seed);
-  throw std::invalid_argument("unknown online policy: " + name);
-}
-
 Schedule simulate_online(const ProblemInstance& inst, OnlinePolicy& policy) {
   const auto& g = inst.graph;
   policy.reset(inst);

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -94,10 +93,6 @@ using OnlinePolicyPtr = std::unique_ptr<OnlinePolicy>;
 
 /// Uniform random node (baseline), deterministic in seed.
 [[nodiscard]] OnlinePolicyPtr make_online_random(std::uint64_t seed);
-
-/// All built-in policies by name.
-[[nodiscard]] std::vector<std::string> online_policy_names();
-[[nodiscard]] OnlinePolicyPtr make_online_policy(const std::string& name, std::uint64_t seed = 1);
 
 /// Runs the reveal-on-ready simulation and returns the realised schedule
 /// (valid for the instance; compare makespans against offline schedulers).

@@ -43,7 +43,7 @@ std::vector<std::string> SchedulerRegistry::names(std::string_view tag,
   return out;
 }
 
-SchedulerPtr SchedulerRegistry::make(const SchedulerSpec& spec, std::uint64_t seed) const {
+SchedulerPtr SchedulerRegistry::make(const Spec& spec, std::uint64_t seed) const {
   const SchedulerDesc& desc = resolve(spec.name);
   std::vector<std::string> valid_keys;
   valid_keys.reserve(desc.params.size() + 1);
@@ -62,50 +62,7 @@ SchedulerPtr SchedulerRegistry::make(const SchedulerSpec& spec, std::uint64_t se
 }
 
 SchedulerPtr SchedulerRegistry::make(std::string_view spec_string, std::uint64_t seed) const {
-  return make(parse_scheduler_spec(spec_string), seed);
-}
-
-/// ---- Compatibility shims ------------------------------------------------
-
-const std::vector<std::string>& all_scheduler_names() {
-  static const std::vector<std::string> names =
-      SchedulerRegistry::instance().names("table1", NameOrder::kRegistration);
-  return names;
-}
-
-const std::vector<std::string>& benchmark_scheduler_names() {
-  // The historical benchmarking roster was byte-wise sorted; the order seeds
-  // the per-cell RNG streams of the Fig. 2/Fig. 4 drivers, so keep it.
-  static const std::vector<std::string> names =
-      SchedulerRegistry::instance().names("benchmark", NameOrder::kLexicographic);
-  return names;
-}
-
-const std::vector<std::string>& app_specific_scheduler_names() {
-  static const std::vector<std::string> names =
-      SchedulerRegistry::instance().names("app-specific", NameOrder::kRegistration);
-  return names;
-}
-
-const std::vector<std::string>& extension_scheduler_names() {
-  static const std::vector<std::string> names =
-      SchedulerRegistry::instance().names("extension", NameOrder::kRegistration);
-  return names;
-}
-
-SchedulerPtr make_scheduler(const std::string& name, std::uint64_t seed) {
-  return SchedulerRegistry::instance().make(name, seed);
-}
-
-SchedulerPtr make_scheduler(const std::string& name) {
-  return make_scheduler(name, 0x5a6a0001ULL);
-}
-
-std::vector<SchedulerPtr> make_benchmark_schedulers() {
-  std::vector<SchedulerPtr> out;
-  out.reserve(benchmark_scheduler_names().size());
-  for (const auto& name : benchmark_scheduler_names()) out.push_back(make_scheduler(name));
-  return out;
+  return make(parse_spec(spec_string, "scheduler"), seed);
 }
 
 }  // namespace saga

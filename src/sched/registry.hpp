@@ -8,17 +8,22 @@
 #include <vector>
 
 #include "common/registry.hpp"
+#include "common/spec.hpp"
 #include "sched/scheduler.hpp"
-#include "sched/spec.hpp"
 
 /// \file registry.hpp
 /// Descriptor-based scheduler registry. Every scheduler self-registers a
 /// `SchedulerDesc` (see its .cpp under src/schedulers/) carrying its name,
 /// aliases, tags, capability flags, declared parameters, and a factory
 /// taking a typed key=value parameter map plus a seed. Consumers construct
-/// schedulers from spec strings (`"ga?pop=64&gens=200"`, see sched/spec.hpp)
+/// schedulers from spec strings (`"ga?pop=64&gens=200"`, see common/spec.hpp)
 /// or enumerate the roster by tag, so experiment scenarios are data rather
 /// than hand-maintained C++ name lists.
+///
+/// Spec names resolve case-insensitively; parameter keys are validated
+/// against the scheduler's declared descriptor. Every scheduler also
+/// accepts the universal `seed` key, which overrides the seed passed to the
+/// factory.
 ///
 /// Standard tags:
 ///   table1        the paper's Table I set (17 schedulers)
@@ -29,8 +34,14 @@
 
 namespace saga {
 
-// ParamDesc (one declared spec parameter) now lives in common/spec.hpp,
-// shared with the dataset registry.
+/// Typed parameter access handed to scheduler factories by the registry;
+/// conversion failures name the scheduler and the offending key.
+class SchedulerParams : public SpecParams {
+ public:
+  SchedulerParams(std::string scheduler,
+                  const std::vector<std::pair<std::string, std::string>>* params)
+      : SpecParams("scheduler", std::move(scheduler), params) {}
+};
 
 /// Self-description one scheduler registers.
 struct SchedulerDesc {
@@ -77,9 +88,10 @@ class SchedulerRegistry : public DescriptorRegistry<SchedulerDesc> {
   /// Constructs a scheduler from a parsed spec. Unknown names and unknown
   /// parameter keys throw std::invalid_argument naming the offender (with a
   /// nearest-name suggestion). A `seed=` spec parameter overrides `seed`.
-  [[nodiscard]] SchedulerPtr make(const SchedulerSpec& spec, std::uint64_t seed) const;
+  [[nodiscard]] SchedulerPtr make(const Spec& spec, std::uint64_t seed) const;
 
-  /// Parses `spec_string` and constructs (see sched/spec.hpp for the grammar).
+  /// Parses `spec_string` and constructs (see common/spec.hpp for the
+  /// grammar).
   [[nodiscard]] SchedulerPtr make(std::string_view spec_string, std::uint64_t seed) const;
 };
 
@@ -87,29 +99,5 @@ class SchedulerRegistry : public DescriptorRegistry<SchedulerDesc> {
 /// each descriptor lives in its scheduler's own .cpp). Called once by
 /// SchedulerRegistry::instance().
 void register_builtin_schedulers(SchedulerRegistry& registry);
-
-/// ---- Thin compatibility shims over the registry ------------------------
-/// These preserve the historical rosters bit for bit (including their
-/// orderings, which seed the experiment drivers' per-cell RNG streams).
-
-/// All Table I scheduler names, in the paper's order.
-[[nodiscard]] const std::vector<std::string>& all_scheduler_names();
-
-/// The 15 polynomial-time schedulers used in Figs. 2 and 4.
-[[nodiscard]] const std::vector<std::string>& benchmark_scheduler_names();
-
-/// The 6 schedulers of the application-specific study (Section VII).
-[[nodiscard]] const std::vector<std::string>& app_specific_scheduler_names();
-
-/// Extension schedulers beyond the paper's Table I.
-[[nodiscard]] const std::vector<std::string>& extension_scheduler_names();
-
-/// Constructs a scheduler from a name or spec string; randomized schedulers
-/// get a fixed default seed. Equivalent to SchedulerRegistry::make.
-[[nodiscard]] SchedulerPtr make_scheduler(const std::string& name);
-[[nodiscard]] SchedulerPtr make_scheduler(const std::string& name, std::uint64_t seed);
-
-/// Constructs the full benchmarking roster (15 schedulers).
-[[nodiscard]] std::vector<SchedulerPtr> make_benchmark_schedulers();
 
 }  // namespace saga

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string_view>
 
@@ -12,6 +13,11 @@
 namespace saga {
 
 class TimelineArena;
+
+/// Seed for a randomized scheduler whose caller has no seed stream of its
+/// own (`saga schedule`, atlas entries, the golden makespans), so that
+/// such results are reproducible.
+inline constexpr std::uint64_t kDefaultSchedulerSeed = 0x5a6a0001ULL;
 
 /// Network-model restrictions a scheduler was designed for. The paper's
 /// PISA setup honours these by fixing the corresponding weights to 1 and

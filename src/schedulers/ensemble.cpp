@@ -21,7 +21,7 @@ EnsembleScheduler::EnsembleScheduler(std::vector<std::string> members, std::uint
   // re-construction per call would only cost allocations.
   built_.reserve(members_.size());
   for (std::size_t i = 0; i < members_.size(); ++i) {
-    built_.push_back(make_scheduler(members_[i], derive_seed(seed_, {i})));
+    built_.push_back(SchedulerRegistry::instance().make(members_[i], derive_seed(seed_, {i})));
   }
 }
 

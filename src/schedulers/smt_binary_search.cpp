@@ -21,6 +21,10 @@ Schedule SmtBinarySearchScheduler::schedule(const ProblemInstance& inst,
   // no schedule with makespan < lo exists.
   while (hi > (1.0 + epsilon_) * lo && hi - lo > 1e-12) {
     const double mid = 0.5 * (lo + hi);
+    // Once lo and hi are adjacent doubles, mid rounds onto one of them and
+    // the bisection can no longer move (an epsilon below one ULP of the
+    // makespan never satisfies the loop test): hi is optimal to precision.
+    if (!(mid > lo && mid < hi)) break;
     ExactSearchOptions options;
     options.bound = mid;
     options.first_below_bound = true;
@@ -34,7 +38,6 @@ Schedule SmtBinarySearchScheduler::schedule(const ProblemInstance& inst,
   }
   return incumbent;
 }
-
 
 void register_smt_binary_search_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -22,7 +22,7 @@ namespace saga {
 /// experiment drivers can derive independent streams.
 class WbaScheduler final : public Scheduler {
  public:
-  explicit WbaScheduler(std::uint64_t seed = 0x5a6a0001ULL, double tolerance = 0.5)
+  explicit WbaScheduler(std::uint64_t seed, double tolerance = 0.5)
       : seed_(seed), tolerance_(tolerance) {}
 
   [[nodiscard]] std::string_view name() const override { return "WBA"; }

@@ -113,7 +113,7 @@ ProblemInstance resolve_instance(const Json& body, std::uint64_t seed) {
     const Json* index = body.find("index");
     const std::size_t i =
         index == nullptr ? 0 : static_cast<std::size_t>(index->as_u64("'index'"));
-    return datasets::generate_instance(dataset->as_string(), seed, i);
+    return datasets::DatasetRegistry::instance().make(dataset->as_string(), seed)->generate(i);
   });
 }
 

@@ -66,6 +66,32 @@ if(NOT timed_err MATCHES "schedules/sec")
   message(FATAL_ERROR "saga schedule --time did not report throughput:\n${timed_err}")
 endif()
 
+# 4c. randomized schedulers get the CLI's fixed default seed: their bytes
+# are pinned (on an in_trees instance, where both WBA's and GA's schedules
+# change with the seed).
+execute_process(COMMAND ${SAGA_CLI} generate in_trees 0
+  RESULT_VARIABLE rv
+  OUTPUT_FILE ${WORK_DIR}/in_trees.txt
+  ERROR_VARIABLE err)
+if(NOT rv EQUAL 0)
+  message(FATAL_ERROR "saga generate in_trees 0 failed (exit ${rv}):\n${err}")
+endif()
+function(pin_schedule spec expected)
+  execute_process(COMMAND ${SAGA_CLI} schedule ${spec} ${WORK_DIR}/in_trees.txt
+    RESULT_VARIABLE rv
+    OUTPUT_FILE ${WORK_DIR}/pinned_schedule.txt
+    ERROR_VARIABLE err)
+  if(NOT rv EQUAL 0)
+    message(FATAL_ERROR "saga schedule ${spec} failed (exit ${rv}):\n${err}")
+  endif()
+  file(SHA256 ${WORK_DIR}/pinned_schedule.txt actual)
+  if(NOT actual STREQUAL expected)
+    message(FATAL_ERROR "saga schedule ${spec} output changed: sha256 ${actual}, pinned ${expected}")
+  endif()
+endfunction()
+pin_schedule("WBA" "01f899e3d95ae510c57b35b0812431fcecbc087f187ee900a768f58ff734060a")
+pin_schedule("GA?gens=5" "e6c82c5311a53f7c0528296280f73edb0855c8bbd7dee17d226ca9283a4b5735")
+
 # 5. compare a couple of schedulers on the same instance.
 saga_step(compare compare ${WORK_DIR}/instance.txt HEFT MinMin)
 

@@ -24,7 +24,8 @@ pisa::PairwiseResult tiny_pairwise() {
 
 TEST(Gantt, ShowsEveryNodeLane) {
   const auto inst = fig1_instance();
-  const auto schedule = make_scheduler("HEFT")->schedule(inst);
+  const auto schedule =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   const std::string text = render_gantt(inst, schedule);
   EXPECT_NE(text.find("node 0"), std::string::npos);
   EXPECT_NE(text.find("node 1"), std::string::npos);
@@ -34,7 +35,8 @@ TEST(Gantt, ShowsEveryNodeLane) {
 
 TEST(Gantt, TaskNamesAppearInLanes) {
   const auto inst = fig1_instance();
-  const auto schedule = make_scheduler("HEFT")->schedule(inst);
+  const auto schedule =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   const std::string text = render_gantt(inst, schedule);
   EXPECT_NE(text.find("t1"), std::string::npos);
   EXPECT_NE(text.find("t4"), std::string::npos);
@@ -57,8 +59,8 @@ TEST(PairwiseTable, HasWorstRowAndClampedCells) {
 }
 
 TEST(AppSpecificTable, BenchmarkingRowFirst) {
-  const auto ds = datasets::generate_dataset("chains", 1, 4);
-  const auto benchmark = benchmark_dataset(ds, {"HEFT", "CPoP"}, 1);
+  const auto source = datasets::DatasetRegistry::instance().make("chains", 1);
+  const auto benchmark = benchmark_source(*source, "chains", 4, {"HEFT", "CPoP"}, 1);
   const auto table = app_specific_table(benchmark, tiny_pairwise(), "blast CCR=1");
   const std::string text = table.render();
   EXPECT_NE(text.find("Benchmarking"), std::string::npos);
@@ -69,9 +71,10 @@ TEST(AppSpecificTable, BenchmarkingRowFirst) {
 TEST(BenchmarkingTable, OneRowPerDataset) {
   const std::vector<std::string> names = {"HEFT", "OLB"};
   std::vector<DatasetBenchmark> benchmarks;
-  benchmarks.push_back(benchmark_dataset(datasets::generate_dataset("chains", 1, 3), names, 1));
-  benchmarks.push_back(
-      benchmark_dataset(datasets::generate_dataset("in_trees", 1, 3), names, 1));
+  for (const char* dataset : {"chains", "in_trees"}) {
+    const auto source = datasets::DatasetRegistry::instance().make(dataset, 1);
+    benchmarks.push_back(benchmark_source(*source, dataset, 3, names, 1));
+  }
   const auto table = benchmarking_table(benchmarks, names, "Fig2");
   EXPECT_EQ(table.rows(), 2u);
   EXPECT_NE(table.render().find("in_trees"), std::string::npos);
@@ -97,8 +100,8 @@ TEST(Csv, PairwiseRendersInfAsWord) {
 }
 
 TEST(Csv, BenchmarkFormat) {
-  const auto ds = datasets::generate_dataset("chains", 1, 3);
-  std::vector<DatasetBenchmark> benchmarks = {benchmark_dataset(ds, {"HEFT"}, 1)};
+  const auto source = datasets::DatasetRegistry::instance().make("chains", 1);
+  std::vector<DatasetBenchmark> benchmarks = {benchmark_source(*source, "chains", 3, {"HEFT"}, 1)};
   std::ostringstream out;
   write_benchmark_csv(out, benchmarks);
   EXPECT_NE(out.str().find("dataset,scheduler,min,q1,median,q3,max,mean"), std::string::npos);

@@ -10,7 +10,7 @@ namespace saga::pisa {
 namespace {
 
 TEST(MakespanRatio, OneOnIdenticalSchedulers) {
-  const auto heft = make_scheduler("HEFT");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const auto inst = random_chain_instance(1);
   EXPECT_DOUBLE_EQ(makespan_ratio(*heft, *heft, inst), 1.0);
 }
@@ -19,8 +19,8 @@ TEST(MakespanRatio, ZeroOverZeroIsOne) {
   ProblemInstance inst;
   inst.graph.add_task("free", 0.0);
   inst.network = Network(2);
-  const auto a = make_scheduler("HEFT");
-  const auto b = make_scheduler("MCT");
+  const auto a = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto b = SchedulerRegistry::instance().make("MCT", kDefaultSchedulerSeed);
   EXPECT_DOUBLE_EQ(makespan_ratio(*a, *b, inst), 1.0);
 }
 
@@ -46,8 +46,8 @@ TEST(RandomChainInstance, MatchesPaperSectionVI) {
 }
 
 TEST(Anneal, BestRatioNeverBelowInitial) {
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto initial = random_chain_instance(seed);
     AnnealingParams params;
@@ -59,8 +59,8 @@ TEST(Anneal, BestRatioNeverBelowInitial) {
 }
 
 TEST(Anneal, DeterministicForSeed) {
-  const auto heft = make_scheduler("HEFT");
-  const auto fn = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto fn = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   const auto initial = random_chain_instance(3);
   AnnealingParams params;
   params.max_iterations = 150;
@@ -73,8 +73,8 @@ TEST(Anneal, DeterministicForSeed) {
 }
 
 TEST(Anneal, StopsAtIterationCap) {
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   AnnealingParams params;
   params.max_iterations = 25;
   const auto result = anneal(*heft, *cpop, random_chain_instance(1),
@@ -85,8 +85,8 @@ TEST(Anneal, StopsAtIterationCap) {
 TEST(Anneal, StopsWhenTemperatureFloorsFirst) {
   // Tmax 10 -> Tmin 0.1 at alpha 0.99 takes ceil(ln(0.01)/ln(0.99)) = 459
   // steps; with Imax 1000 the temperature floor binds.
-  const auto mct = make_scheduler("MCT");
-  const auto olb = make_scheduler("OLB");
+  const auto mct = SchedulerRegistry::instance().make("MCT", kDefaultSchedulerSeed);
+  const auto olb = SchedulerRegistry::instance().make("OLB", kDefaultSchedulerSeed);
   AnnealingParams params;  // paper defaults
   const auto result = anneal(*mct, *olb, random_chain_instance(2),
                              PerturbationConfig::generic(), params, 2);
@@ -95,8 +95,8 @@ TEST(Anneal, StopsWhenTemperatureFloorsFirst) {
 }
 
 TEST(Anneal, MetropolisRuleAlsoImproves) {
-  const auto heft = make_scheduler("HEFT");
-  const auto fn = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto fn = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   AnnealingParams params;
   params.acceptance = AnnealingParams::AcceptanceRule::kMetropolis;
   const auto result = anneal(*heft, *fn, random_chain_instance(4),
@@ -107,8 +107,8 @@ TEST(Anneal, MetropolisRuleAlsoImproves) {
 TEST(RunPisa, FindsInstanceWhereHeftLosesToFastestNode) {
   // The paper's headline observation: PISA finds instances where HEFT
   // over-parallelises and loses to serialising everything on one node.
-  const auto heft = make_scheduler("HEFT");
-  const auto fn = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto fn = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   PisaOptions options;
   options.restarts = 3;
   const auto result = run_pisa(*heft, *fn, options, 99);
@@ -120,8 +120,8 @@ TEST(RunPisa, FindsInstanceWhereHeftLosesToFastestNode) {
 TEST(RunPisa, HonoursHomogeneityConstraints) {
   // ETF requires homogeneous speeds; FCP additionally homogeneous links.
   // Any instance PISA produces for this pair must keep both homogeneous.
-  const auto etf = make_scheduler("ETF");
-  const auto fcp = make_scheduler("FCP");
+  const auto etf = SchedulerRegistry::instance().make("ETF", kDefaultSchedulerSeed);
+  const auto fcp = SchedulerRegistry::instance().make("FCP", kDefaultSchedulerSeed);
   PisaOptions options;
   options.restarts = 2;
   options.params.max_iterations = 150;
@@ -134,8 +134,8 @@ TEST(RunPisa, HonoursHomogeneityConstraints) {
 }
 
 TEST(RunPisa, CustomInitialFactoryIsUsed) {
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   PisaOptions options;
   options.restarts = 1;
   options.params.max_iterations = 10;
@@ -196,8 +196,8 @@ TEST(Constraints, NormalizeNoOpWithoutRequirements) {
 
 
 TEST(Anneal, TraceRecordsMonotoneBestAndCoolingTemperatures) {
-  const auto heft = make_scheduler("HEFT");
-  const auto fn = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto fn = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   AnnealingParams params;
   params.max_iterations = 120;
   params.record_trace = true;
@@ -214,8 +214,8 @@ TEST(Anneal, TraceRecordsMonotoneBestAndCoolingTemperatures) {
 }
 
 TEST(Anneal, TraceEmptyByDefault) {
-  const auto mct = make_scheduler("MCT");
-  const auto olb = make_scheduler("OLB");
+  const auto mct = SchedulerRegistry::instance().make("MCT", kDefaultSchedulerSeed);
+  const auto olb = SchedulerRegistry::instance().make("OLB", kDefaultSchedulerSeed);
   AnnealingParams params;
   params.max_iterations = 30;
   const auto result = anneal(*mct, *olb, random_chain_instance(7),
@@ -224,8 +224,8 @@ TEST(Anneal, TraceEmptyByDefault) {
 }
 
 TEST(Anneal, CurrentRatioNeverExceedsBestInTrace) {
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   AnnealingParams params;
   params.max_iterations = 200;
   params.record_trace = true;

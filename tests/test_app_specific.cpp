@@ -54,8 +54,8 @@ TEST(AppSpecificPisa, PreservesWorkflowStructureDuringSearch) {
   auto options = app_specific_options("srasearch", 1.0, 7);
   options.restarts = 1;
   options.params.max_iterations = 60;
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   const auto result = run_pisa(*heft, *cpop, options, 7);
   const auto& g = result.best_instance.graph;
   ASSERT_EQ(g.sources().size(), 1u);
@@ -69,8 +69,8 @@ TEST(AppSpecificPisa, WeightsStayInsideTraceEnvelope) {
   auto options = app_specific_options("blast", 0.5, 9);
   options.restarts = 1;
   options.params.max_iterations = 120;
-  const auto minmin = make_scheduler("MinMin");
-  const auto cpop = make_scheduler("CPoP");
+  const auto minmin = SchedulerRegistry::instance().make("MinMin", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   const auto result = run_pisa(*minmin, *cpop, options, 9);
   const auto& stats = workflows::blast_stats();
   const auto& inst = result.best_instance;

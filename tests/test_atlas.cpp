@@ -11,12 +11,14 @@ namespace saga::analysis {
 namespace {
 
 AtlasEntry sample_entry() {
+  const auto& registry = SchedulerRegistry::instance();
   AtlasEntry entry;
   entry.target = "HEFT";
   entry.baseline = "FastestNode";
   entry.instance = pisa::random_chain_instance(5);
-  entry.ratio = pisa::makespan_ratio(*make_scheduler("HEFT"),
-                                     *make_scheduler("FastestNode"), entry.instance);
+  entry.ratio = pisa::makespan_ratio(*registry.make("HEFT", kDefaultSchedulerSeed),
+                                     *registry.make("FastestNode",
+                                                    kDefaultSchedulerSeed), entry.instance);
   return entry;
 }
 
@@ -35,7 +37,8 @@ TEST(AtlasEntry, RejectsMissingMagic) {
 }
 
 TEST(AtlasEntry, RejectsMissingHeaders) {
-  const std::string text = "# atlas-entry v1\nsaga-instance v1\ntasks 0\ndeps 0\nnodes 1\nnode 0 1\nlinks 0\n";
+  const std::string text =
+      "# atlas-entry v1\nsaga-instance v1\ntasks 0\ndeps 0\nnodes 1\nnode 0 1\nlinks 0\n";
   EXPECT_THROW((void)atlas_entry_from_string(text), std::runtime_error);
 }
 

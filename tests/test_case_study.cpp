@@ -35,8 +35,10 @@ TEST(Fig3, KnownMakespansUnderOurTieBreaks) {
   // ranking-flip phenomenon is demonstrated by PISA below instead.
   for (bool weakened : {false, true}) {
     const auto inst = families::fig3_instance(weakened);
-    const auto heft = make_scheduler("HEFT")->schedule(inst);
-    const auto cpop = make_scheduler("CPoP")->schedule(inst);
+    const auto heft =
+        SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
+    const auto cpop =
+        SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed)->schedule(inst);
     EXPECT_TRUE(heft.validate(inst).ok);
     EXPECT_TRUE(cpop.validate(inst).ok);
     EXPECT_DOUBLE_EQ(heft.makespan(), 14.0);
@@ -45,17 +47,19 @@ TEST(Fig3, KnownMakespansUnderOurTieBreaks) {
 }
 
 TEST(Fig3, SerialBoundIsFifteen) {
+  const auto& registry = SchedulerRegistry::instance();
   // Sanity anchor from the paper's Gantt charts: full serialisation on one
   // unit-speed node takes 15.
   const auto inst = families::fig3_instance(true);
-  EXPECT_DOUBLE_EQ(make_scheduler("FastestNode")->schedule(inst).makespan(), 15.0);
+  EXPECT_DOUBLE_EQ(registry.make("FastestNode", kDefaultSchedulerSeed)->schedule(inst).makespan(),
+                   15.0);
 }
 
 TEST(CaseStudy, PisaFindsInstanceWhereHeftLosesToCpop) {
   // Fig. 5's phenomenon, rediscovered: a small instance where HEFT is
   // noticeably worse than CPoP.
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   pisa::PisaOptions options;
   options.restarts = 5;
   const auto result = pisa::run_pisa(*heft, *cpop, options, 2024);
@@ -68,8 +72,8 @@ TEST(CaseStudy, PisaFindsInstanceWhereHeftLosesToCpop) {
 TEST(CaseStudy, PisaFindsInstanceWhereCpopLosesToHeft) {
   // Fig. 6's phenomenon: committing the critical path to the fastest node
   // backfires for CPoP.
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   pisa::PisaOptions options;
   options.restarts = 5;
   const auto result = pisa::run_pisa(*cpop, *heft, options, 2025);
@@ -79,8 +83,8 @@ TEST(CaseStudy, PisaFindsInstanceWhereCpopLosesToHeft) {
 TEST(CaseStudy, NeitherAlgorithmDominatesTheOther) {
   // Section VI-A: "we don't see many algorithms that are strictly better
   // or worse than others" — both directions find ratios above 1.
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   pisa::PisaOptions options;
   options.restarts = 3;
   const double heft_worst = pisa::run_pisa(*heft, *cpop, options, 1).best_ratio;

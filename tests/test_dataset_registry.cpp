@@ -1,4 +1,4 @@
-// Descriptor-based dataset registry: tag enumeration consistency with the
+// Descriptor-based dataset registry: tag enumeration pinned to the
 // historical rosters, alias/case-insensitive resolution with nearest-name
 // suggestions, parameterized sources (width/CCR/topology overrides), the
 // erdos extension family, composable wrapping sources (perturbed, noisy),
@@ -10,11 +10,13 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/benchmarking.hpp"
 #include "datasets/registry.hpp"
 #include "exp/experiment.hpp"
+#include "sched/registry.hpp"
 
 namespace {
 
@@ -23,18 +25,25 @@ using namespace saga;
 // --- rosters and resolution ------------------------------------------------
 
 TEST(DatasetRegistry, Table2TagMatchesHistoricalRoster) {
-  const auto names = datasets::DatasetRegistry::instance().names("table2");
-  std::vector<std::string> expected;
-  for (const auto& spec : datasets::all_dataset_specs()) expected.push_back(spec.name);
-  EXPECT_EQ(names, expected);
-  EXPECT_EQ(names.size(), 16u);
-  EXPECT_EQ(names.front(), "in_trees");
-  EXPECT_EQ(names.back(), "train");
+  // Table II in paper order, with each dataset's paper instance count.
+  const std::vector<std::pair<std::string, std::size_t>> expected = {
+      {"in_trees", 1000}, {"out_trees", 1000}, {"chains", 1000},    {"blast", 100},
+      {"bwa", 100},       {"cycles", 100},     {"epigenomics", 100}, {"genome", 100},
+      {"montage", 100},   {"seismology", 100}, {"soykb", 100},       {"srasearch", 100},
+      {"etl", 1000},      {"predict", 1000},   {"stats", 1000},      {"train", 1000}};
+  const auto& registry = datasets::DatasetRegistry::instance();
+  std::vector<std::pair<std::string, std::size_t>> actual;
+  for (const auto& name : registry.names("table2")) {
+    actual.emplace_back(name, registry.resolve(name).paper_count);
+    EXPECT_EQ(registry.make(name, 1)->size(), actual.back().second) << name;
+  }
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(DatasetRegistry, WorkflowTagMatchesHistoricalRoster) {
   EXPECT_EQ(datasets::DatasetRegistry::instance().names("workflow"),
-            datasets::workflow_dataset_names());
+            (std::vector<std::string>{"blast", "bwa", "cycles", "epigenomics", "genome",
+                                      "montage", "seismology", "soykb", "srasearch"}));
 }
 
 TEST(DatasetRegistry, TagUnionCoversStandardTags) {
@@ -235,10 +244,18 @@ TEST(DatasetWrappers, NestedBaseSpecsCarryParameters) {
 // --- streaming-vs-eager equivalence ----------------------------------------
 
 TEST(StreamingBenchmark, MatchesEagerBenchmarkBitForBit) {
+  // The parallel streaming driver must equal a serial pass over the
+  // materialized instances (deterministic roster, so seeds do not matter).
   const std::vector<std::string> roster = {"HEFT", "CPoP", "MinMin"};
-  const auto eager = analysis::benchmark_dataset(datasets::generate_dataset("chains", 42, 6),
-                                                 roster, 42);
   const auto source = datasets::DatasetRegistry::instance().make("chains", 42);
+  std::vector<ProblemInstance> instances;
+  for (std::size_t i = 0; i < 6; ++i) instances.push_back(source->generate(i));
+  std::vector<std::vector<double>> makespans(roster.size());
+  for (std::size_t s = 0; s < roster.size(); ++s) {
+    const auto scheduler = SchedulerRegistry::instance().make(roster[s], 1);
+    for (const auto& inst : instances) makespans[s].push_back(scheduler->schedule(inst).makespan());
+  }
+  const auto eager = analysis::assemble_benchmark("chains", makespans, roster);
   const auto streamed = analysis::benchmark_source(*source, "chains", 6, roster, 42);
   ASSERT_EQ(streamed.per_scheduler.size(), eager.per_scheduler.size());
   for (std::size_t s = 0; s < eager.per_scheduler.size(); ++s) {

@@ -190,12 +190,13 @@ TEST(SetHomogeneousCcr, NoOpOnEdgelessGraph) {
 }
 
 TEST(WorkflowRegistry, AllNineNamesGenerate) {
-  for (const auto& name : datasets::workflow_dataset_names()) {
-    const auto inst = datasets::generate_instance(name, 1, 0);
+  const auto& registry = datasets::DatasetRegistry::instance();
+  for (const auto& name : registry.names("workflow")) {
+    const auto inst = registry.make(name, 1)->generate(0);
     EXPECT_GT(inst.graph.task_count(), 0u) << name;
     EXPECT_GT(inst.network.node_count(), 0u) << name;
   }
-  EXPECT_EQ(datasets::workflow_dataset_names().size(), 9u);
+  EXPECT_EQ(registry.names("workflow").size(), 9u);
 }
 
 }  // namespace

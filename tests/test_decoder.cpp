@@ -70,7 +70,8 @@ TEST(Decoder, HeftEncodingReproducesHeftMakespan) {
   // Decoding HEFT's own (assignment, upward-rank priority) cannot do better
   // than HEFT with insertion, but must stay close; on Fig. 1 they coincide.
   const auto inst = fig1_instance();
-  const Schedule heft = make_scheduler("HEFT")->schedule(inst);
+  const Schedule heft =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   ScheduleEncoding encoding;
   encoding.assignment.resize(inst.graph.task_count());
   for (TaskId t = 0; t < inst.graph.task_count(); ++t) {

@@ -2,7 +2,7 @@
 // unknown-key rejection, --set overrides, @tag roster expansion, validation
 // errors, and — crucially — bit-identical equivalence between
 // run_experiment() and the underlying drivers it replaced
-// (pairwise_compare / benchmark_dataset / make_scheduler).
+// (pairwise_compare / benchmark_source / SchedulerRegistry::make).
 
 #include <gtest/gtest.h>
 
@@ -177,12 +177,13 @@ TEST(ExperimentValidate, DiagnosesBadSpecs) {
 TEST(ExperimentRoster, TagExpansionMatchesHistoricalRosterOrder) {
   ExperimentSpec spec;
   spec.schedulers = {"@benchmark"};
-  EXPECT_EQ(spec.resolved_schedulers(), benchmark_scheduler_names());
+  EXPECT_EQ(spec.resolved_schedulers(),
+            SchedulerRegistry::instance().names("benchmark", NameOrder::kLexicographic));
   spec.schedulers = {"@nope"};
   EXPECT_THROW((void)spec.resolved_schedulers(), std::invalid_argument);
   spec.schedulers = {"ga?gens=5", "@app-specific"};
   const auto roster = spec.resolved_schedulers();
-  EXPECT_EQ(roster.size(), 1u + app_specific_scheduler_names().size());
+  EXPECT_EQ(roster.size(), 1u + SchedulerRegistry::instance().names("app-specific").size());
   EXPECT_EQ(roster.front(), "ga?gens=5");
 }
 
@@ -235,9 +236,9 @@ TEST(ExperimentRun, BenchmarkModeMatchesBenchmarkDataset) {
   std::ostringstream sink;
   const auto result = exp::run_experiment(spec, sink);
 
-  const auto dataset = datasets::generate_dataset("blast", spec.seed, 4);
-  const auto direct =
-      analysis::benchmark_dataset(dataset, app_specific_scheduler_names(), spec.seed);
+  const auto source = datasets::DatasetRegistry::instance().make("blast", spec.seed);
+  const auto roster = SchedulerRegistry::instance().names("app-specific");
+  const auto direct = analysis::benchmark_source(*source, "blast", 4, roster, spec.seed);
   ASSERT_EQ(result.benchmarks.size(), 1u);
   ASSERT_EQ(result.benchmarks[0].per_scheduler.size(), direct.per_scheduler.size());
   for (std::size_t s = 0; s < direct.per_scheduler.size(); ++s) {
@@ -248,6 +249,7 @@ TEST(ExperimentRun, BenchmarkModeMatchesBenchmarkDataset) {
 }
 
 TEST(ExperimentRun, ScheduleModeMatchesDirectConstruction) {
+  const auto& registry = SchedulerRegistry::instance();
   ExperimentSpec spec;
   spec.mode = Mode::kSchedule;
   spec.schedulers = {"HEFT", "ga?pop=8&gens=5"};
@@ -257,8 +259,9 @@ TEST(ExperimentRun, ScheduleModeMatchesDirectConstruction) {
   const auto result = exp::run_experiment(spec, sink);
   ASSERT_EQ(result.schedules.size(), 2u);
 
-  const auto inst = datasets::generate_instance("blast", 42, 0);
-  EXPECT_EQ(result.schedules[0].makespan, make_scheduler("HEFT")->schedule(inst).makespan());
+  const auto inst = datasets::DatasetRegistry::instance().make("blast", 42)->generate(0);
+  EXPECT_EQ(result.schedules[0].makespan,
+            registry.make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan());
   EXPECT_TRUE(result.schedules[0].schedule.validate(inst).ok);
   EXPECT_TRUE(result.schedules[1].schedule.validate(inst).ok);
 }
@@ -273,8 +276,10 @@ TEST(ExperimentRun, PairwiseBestInstancesReproduceTheirRatios) {
       if (row == col || !std::isfinite(grid.ratio[row][col])) continue;
       // Deterministic schedulers: re-running on the stored instance must
       // reproduce the recorded worst-case ratio.
-      const auto target = make_scheduler(grid.scheduler_names[col]);
-      const auto baseline = make_scheduler(grid.scheduler_names[row]);
+      const auto target =
+          SchedulerRegistry::instance().make(grid.scheduler_names[col], kDefaultSchedulerSeed);
+      const auto baseline =
+          SchedulerRegistry::instance().make(grid.scheduler_names[row], kDefaultSchedulerSeed);
       const double target_makespan =
           target->schedule(grid.best_instance[row][col]).makespan();
       const double baseline_makespan =

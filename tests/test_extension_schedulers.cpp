@@ -17,9 +17,9 @@ namespace {
 class ExtensionValidity : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(ExtensionValidity, ValidOnDiverseInstances) {
-  const auto scheduler = make_scheduler(GetParam(), 5);
+  const auto scheduler = SchedulerRegistry::instance().make(GetParam(), 5);
   for (const char* dataset : {"chains", "blast", "montage"}) {
-    const auto inst = datasets::generate_instance(dataset, 3, 0);
+    const auto inst = datasets::DatasetRegistry::instance().make(dataset, 3)->generate(0);
     const Schedule s = scheduler->schedule(inst);
     const auto result = s.validate(inst);
     EXPECT_TRUE(result.ok) << GetParam() << " on " << dataset << ": " << result.message;
@@ -27,7 +27,7 @@ TEST_P(ExtensionValidity, ValidOnDiverseInstances) {
 }
 
 TEST_P(ExtensionValidity, ValidOnPisaChainInstances) {
-  const auto scheduler = make_scheduler(GetParam(), 5);
+  const auto scheduler = SchedulerRegistry::instance().make(GetParam(), 5);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const auto inst = pisa::random_chain_instance(seed);
     EXPECT_TRUE(scheduler->schedule(inst).validate(inst).ok) << GetParam();
@@ -35,9 +35,9 @@ TEST_P(ExtensionValidity, ValidOnPisaChainInstances) {
 }
 
 TEST_P(ExtensionValidity, DeterministicForFixedSeed) {
-  const auto inst = datasets::generate_instance("chains", 8, 1);
-  const auto a = make_scheduler(GetParam(), 11)->schedule(inst);
-  const auto b = make_scheduler(GetParam(), 11)->schedule(inst);
+  const auto inst = datasets::DatasetRegistry::instance().make("chains", 8)->generate(1);
+  const auto a = SchedulerRegistry::instance().make(GetParam(), 11)->schedule(inst);
+  const auto b = SchedulerRegistry::instance().make(GetParam(), 11)->schedule(inst);
   for (TaskId t = 0; t < inst.graph.task_count(); ++t) {
     EXPECT_EQ(a.of_task(t).node, b.of_task(t).node);
     EXPECT_DOUBLE_EQ(a.of_task(t).start, b.of_task(t).start);
@@ -47,30 +47,31 @@ TEST_P(ExtensionValidity, DeterministicForFixedSeed) {
 TEST_P(ExtensionValidity, HandlesEmptyGraph) {
   ProblemInstance inst;
   inst.network = Network(2);
-  const Schedule s = make_scheduler(GetParam(), 1)->schedule(inst);
+  const Schedule s = SchedulerRegistry::instance().make(GetParam(), 1)->schedule(inst);
   EXPECT_EQ(s.size(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllExtensions, ExtensionValidity,
-                         ::testing::ValuesIn(extension_scheduler_names()),
+                         ::testing::ValuesIn(SchedulerRegistry::instance().names("extension")),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
 
 TEST(ExtensionRegistry, EightExtensions) {
-  EXPECT_EQ(extension_scheduler_names().size(), 8u);
-  for (const auto& name : extension_scheduler_names()) {
-    EXPECT_EQ(make_scheduler(name)->name(), name);
+  EXPECT_EQ(SchedulerRegistry::instance().names("extension").size(), 8u);
+  for (const auto& name : SchedulerRegistry::instance().names("extension")) {
+    EXPECT_EQ(SchedulerRegistry::instance().make(name, kDefaultSchedulerSeed)->name(), name);
   }
 }
 
 TEST(Ga, NeverWorseThanHeftByConstruction) {
+  const auto& registry = SchedulerRegistry::instance();
   // GA seeds its population with the HEFT encoding and keeps an elite, so
   // its makespan is at most the decoded HEFT makespan.
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto inst = pisa::random_chain_instance(seed);
     const double ga = GeneticScheduler(seed).schedule(inst).makespan();
-    const double heft = make_scheduler("HEFT")->schedule(inst).makespan();
+    const double heft = registry.make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan();
     EXPECT_LE(ga, heft + 1e-9) << "seed " << seed;
   }
 }
@@ -91,17 +92,22 @@ TEST(SimAnneal, NeverWorseThanItsHeftSeed) {
     const double sa = SimAnnealScheduler(seed).schedule(inst).makespan();
     // SimAnneal starts from the decoded HEFT encoding and tracks the best
     // state, so it cannot end worse than that starting point.
-    const auto heft = make_scheduler("HEFT")->schedule(inst);
+    const auto heft =
+        SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
     EXPECT_LE(sa, heft.makespan() * 1.0 + 1e-6);
   }
 }
 
 TEST(Ensemble, MatchesBestMemberExactly) {
-  const auto inst = datasets::generate_instance("chains", 4, 2);
+  const auto& registry = SchedulerRegistry::instance();
+  const auto inst = datasets::DatasetRegistry::instance().make("chains", 4)->generate(2);
   const EnsembleScheduler ensemble({"HEFT", "CPoP", "MinMin"}, 3);
-  const double best = std::min({make_scheduler("HEFT")->schedule(inst).makespan(),
-                                make_scheduler("CPoP")->schedule(inst).makespan(),
-                                make_scheduler("MinMin")->schedule(inst).makespan()});
+  const double best =
+      std::min({registry.make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan(),
+                                registry.make("CPoP",
+                                              kDefaultSchedulerSeed)->schedule(inst).makespan(),
+                                registry.make("MinMin",
+                                              kDefaultSchedulerSeed)->schedule(inst).makespan()});
   EXPECT_DOUBLE_EQ(ensemble.schedule(inst).makespan(), best);
 }
 
@@ -118,10 +124,11 @@ TEST(Ensemble, InheritsMemberRequirements) {
 }
 
 TEST(Ensemble, SingleMemberEqualsThatScheduler) {
+  const auto& registry = SchedulerRegistry::instance();
   const auto inst = fig1_instance();
   const EnsembleScheduler solo({"MCT"});
   EXPECT_DOUBLE_EQ(solo.schedule(inst).makespan(),
-                   make_scheduler("MCT")->schedule(inst).makespan());
+                   registry.make("MCT", kDefaultSchedulerSeed)->schedule(inst).makespan());
 }
 
 TEST(Lc, ClusersCriticalPathTogether) {
@@ -136,19 +143,22 @@ TEST(Lc, ClusersCriticalPathTogether) {
   }
   inst.network = Network(3);
   inst.network.set_speed(1, 2.0);
-  const auto lc = make_scheduler("LC")->schedule(inst);
+  const auto lc = SchedulerRegistry::instance().make("LC", kDefaultSchedulerSeed)->schedule(inst);
   for (const auto& a : lc.assignments()) EXPECT_EQ(a.node, 1u);
   EXPECT_DOUBLE_EQ(lc.makespan(), 2.5);
 }
 
 TEST(Lc, AvoidsCommunicationHeftPaysOnJoinHeavyGraphs) {
+  const auto& registry = SchedulerRegistry::instance();
   // A deliberately comm-heavy fork-join: clustering the whole spine often
   // beats eager parallelisation. We only check validity + that LC is not
   // catastrophically worse than HEFT across seeds.
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
-    const auto inst = datasets::generate_instance("chains", 21, seed % 3);
-    const double lc = make_scheduler("LC")->schedule(inst).makespan();
-    const double serial = make_scheduler("FastestNode")->schedule(inst).makespan();
+    const auto inst = datasets::DatasetRegistry::instance().make("chains", 21)->generate(seed % 3);
+    const double lc =
+        registry.make("LC", kDefaultSchedulerSeed)->schedule(inst).makespan();
+    const double serial =
+        registry.make("FastestNode", kDefaultSchedulerSeed)->schedule(inst).makespan();
     EXPECT_LE(lc, serial * 3.0 + 1e-9);
   }
 }
@@ -158,8 +168,8 @@ TEST(Lmt, ProcessesLevelsInOrder) {
   // level *on the same node* that was placed there... the robust invariant
   // is simply validity plus: a source task is never scheduled after a
   // deeper task on the same node when both are on level-adjacent paths.
-  const auto inst = datasets::generate_instance("epigenomics", 2, 0);
-  const auto s = make_scheduler("LMT")->schedule(inst);
+  const auto inst = datasets::DatasetRegistry::instance().make("epigenomics", 2)->generate(0);
+  const auto s = SchedulerRegistry::instance().make("LMT", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_TRUE(s.validate(inst).ok);
 }
 
@@ -172,16 +182,17 @@ TEST(Ert, PrefersTasksWhoseDataIsReadyFirst) {
   inst.graph.add_dependency(src, x, 10.0);
   inst.graph.add_dependency(src, y, 0.0);
   inst.network = Network(2);
-  const auto s = make_scheduler("ERT")->schedule(inst);
+  const auto s = SchedulerRegistry::instance().make("ERT", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_TRUE(s.validate(inst).ok);
   EXPECT_LE(s.of_task(y).start, s.of_task(x).start);
 }
 
 TEST(Mh, MatchesHeftWithoutInsertionOnFig1) {
+  const auto& registry = SchedulerRegistry::instance();
   // On Fig. 1 no insertion gaps arise, so MH and HEFT coincide.
   const auto inst = fig1_instance();
-  EXPECT_DOUBLE_EQ(make_scheduler("MH")->schedule(inst).makespan(),
-                   make_scheduler("HEFT")->schedule(inst).makespan());
+  EXPECT_DOUBLE_EQ(registry.make("MH", kDefaultSchedulerSeed)->schedule(inst).makespan(),
+                   registry.make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan());
 }
 
 }  // namespace

@@ -35,8 +35,8 @@ TEST(HeftAdversarialFamily, NetworkIsHomogeneous) {
 TEST(HeftAdversarialFamily, HeftLosesToCpopOnAverage) {
   // The paper's Fig. 7: HEFT's makespan distribution sits well above
   // CPoP's on this family.
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   std::vector<double> heft_ms, cpop_ms;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const auto inst = families::heft_adversarial_instance(seed);
@@ -78,8 +78,8 @@ TEST(CpopAdversarialFamily, NetworkHasFastNodeWithWeakLink) {
 TEST(CpopAdversarialFamily, CpopLosesToHeftOnAverage) {
   // The paper's Fig. 8: CPoP's makespan distribution sits well above
   // HEFT's on this family.
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   std::vector<double> heft_ms, cpop_ms;
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const auto inst = families::cpop_adversarial_instance(seed);

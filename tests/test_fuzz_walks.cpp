@@ -27,13 +27,13 @@ TEST_P(PerturbationWalk, SchedulersSurviveWeightExtremes) {
   config.node_speed = {1e-3, 5.0};
   config.link_strength = {1e-3, 5.0};
 
-  ProblemInstance inst = datasets::generate_instance(dataset, 3, 0);
-  const auto roster = benchmark_scheduler_names();
+  ProblemInstance inst = datasets::DatasetRegistry::instance().make(dataset, 3)->generate(0);
+  const auto roster = SchedulerRegistry::instance().names("benchmark", NameOrder::kLexicographic);
   for (int step = 0; step < 120; ++step) {
     inst = pisa::perturb(inst, config, rng).instance;
     if (step % 40 != 39) continue;  // validate at checkpoints
     for (const auto& name : roster) {
-      const auto scheduler = make_scheduler(name, 3);
+      const auto scheduler = SchedulerRegistry::instance().make(name, 3);
       const Schedule s = scheduler->schedule(inst);
       const auto result = s.validate(inst);
       ASSERT_TRUE(result.ok) << name << " on " << dataset << " step " << step << ": "
@@ -46,14 +46,14 @@ TEST_P(PerturbationWalk, OnlinePoliciesSurviveTheSameWalk) {
   const auto& dataset = GetParam();
   Rng rng(11);
   const auto config = pisa::PerturbationConfig::generic();
-  ProblemInstance inst = datasets::generate_instance(dataset, 5, 1);
+  ProblemInstance inst = datasets::DatasetRegistry::instance().make(dataset, 5)->generate(1);
   for (int step = 0; step < 80; ++step) {
     inst = pisa::perturb(inst, config, rng).instance;
   }
-  for (const auto& name : online::online_policy_names()) {
-    const auto policy = online::make_online_policy(name, 5);
-    const Schedule s = online::simulate_online(inst, *policy);
-    ASSERT_TRUE(s.validate(inst).ok) << name << " on " << dataset;
+  for (const char* spec : {"Online?policy=eft", "Online?policy=rr", "Online?policy=fastest",
+                           "Online?policy=locality", "Online?policy=random"}) {
+    const Schedule s = SchedulerRegistry::instance().make(spec, 5)->schedule(inst);
+    ASSERT_TRUE(s.validate(inst).ok) << spec << " on " << dataset;
   }
 }
 
@@ -64,6 +64,7 @@ INSTANTIATE_TEST_SUITE_P(DiverseSeeds, PerturbationWalk,
                          });
 
 TEST(FuzzExtremes, SingleNodeNetworkNeverBreaks) {
+  const auto& registry = SchedulerRegistry::instance();
   // Degenerate network: everything must serialise, every scheduler valid.
   ProblemInstance inst;
   Rng rng(2);
@@ -72,8 +73,8 @@ TEST(FuzzExtremes, SingleNodeNetworkNeverBreaks) {
   inst.graph.add_dependency(1, 3, 1.0);
   inst.graph.add_dependency(3, 5, 1.0);
   inst.network = Network(1);
-  for (const auto& name : benchmark_scheduler_names()) {
-    const Schedule s = make_scheduler(name, 1)->schedule(inst);
+  for (const auto& name : registry.names("benchmark", NameOrder::kLexicographic)) {
+    const Schedule s = registry.make(name, 1)->schedule(inst);
     EXPECT_TRUE(s.validate(inst).ok) << name;
     // One node: makespan is exactly the total cost (no comm, no overlap).
     EXPECT_NEAR(s.makespan(), inst.graph.total_cost(), 1e-9) << name;
@@ -81,6 +82,7 @@ TEST(FuzzExtremes, SingleNodeNetworkNeverBreaks) {
 }
 
 TEST(FuzzExtremes, DenseGraphFromSaturatingAddDependency) {
+  const auto& registry = SchedulerRegistry::instance();
   // Drive AddDependency until the DAG is maximally dense, then schedule.
   Rng rng(3);
   pisa::PerturbationConfig config;
@@ -95,12 +97,13 @@ TEST(FuzzExtremes, DenseGraphFromSaturatingAddDependency) {
   }
   // A 7-task DAG saturates at 21 edges.
   EXPECT_EQ(inst.graph.dependency_count(), 21u);
-  for (const auto& name : benchmark_scheduler_names()) {
-    EXPECT_TRUE(make_scheduler(name, 1)->schedule(inst).validate(inst).ok) << name;
+  for (const auto& name : registry.names("benchmark", NameOrder::kLexicographic)) {
+    EXPECT_TRUE(registry.make(name, 1)->schedule(inst).validate(inst).ok) << name;
   }
 }
 
 TEST(FuzzExtremes, RemovalsDriveGraphEdgeless) {
+  const auto& registry = SchedulerRegistry::instance();
   Rng rng(4);
   pisa::PerturbationConfig config;
   for (std::size_t i = 0; i < pisa::kPerturbationOpCount; ++i) config.enabled[i] = false;
@@ -113,8 +116,8 @@ TEST(FuzzExtremes, RemovalsDriveGraphEdgeless) {
     inst = result.instance;
   }
   EXPECT_EQ(inst.graph.dependency_count(), 0u);
-  for (const auto& name : benchmark_scheduler_names()) {
-    EXPECT_TRUE(make_scheduler(name, 1)->schedule(inst).validate(inst).ok) << name;
+  for (const auto& name : registry.names("benchmark", NameOrder::kLexicographic)) {
+    EXPECT_TRUE(registry.make(name, 1)->schedule(inst).validate(inst).ok) << name;
   }
 }
 

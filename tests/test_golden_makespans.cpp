@@ -25,7 +25,6 @@
 #include "graph/problem_instance.hpp"
 #include "sched/arena.hpp"
 #include "sched/registry.hpp"
-#include "sched/spec.hpp"
 
 namespace {
 
@@ -46,11 +45,12 @@ const ProblemInstance& fixture(const std::string& name) {
     std::map<std::string, ProblemInstance> out;
     out.emplace("fig1", fig1_instance());
     out.emplace("chain7", pisa::random_chain_instance(7));
-    ProblemInstance chameleon = datasets::generate_instance("blast", 42, 0);
+    ProblemInstance chameleon =
+        datasets::DatasetRegistry::instance().make("blast", 42)->generate(0);
     chameleon.network = datasets::chameleon_network(derive_seed(42, {0xc4a3ULL}));
     out.emplace("chameleon_blast", std::move(chameleon));
-    out.emplace("blast0", datasets::generate_instance("blast", 42, 0));
-    out.emplace("montage0", datasets::generate_instance("montage", 42, 0));
+    out.emplace("blast0", datasets::DatasetRegistry::instance().make("blast", 42)->generate(0));
+    out.emplace("montage0", datasets::DatasetRegistry::instance().make("montage", 42)->generate(0));
     return out;
   }();
   return fixtures.at(name);
@@ -59,10 +59,10 @@ const ProblemInstance& fixture(const std::string& name) {
 TEST(GoldenMakespans, TableCoversEveryRegisteredScheduler) {
   std::map<std::string, int> covered;
   for (const auto& entry : kGolden) ++covered[entry.scheduler];
-  for (const auto& name : all_scheduler_names()) {
+  for (const auto& name : SchedulerRegistry::instance().names("table1")) {
     EXPECT_TRUE(covered.contains(name)) << name << " missing from the golden table";
   }
-  for (const auto& name : extension_scheduler_names()) {
+  for (const auto& name : SchedulerRegistry::instance().names("extension")) {
     EXPECT_TRUE(covered.contains(name)) << name << " missing from the golden table";
   }
 }
@@ -70,7 +70,8 @@ TEST(GoldenMakespans, TableCoversEveryRegisteredScheduler) {
 TEST(GoldenMakespans, BitIdenticalWithoutArena) {
   for (const auto& entry : kGolden) {
     const auto& inst = fixture(entry.fixture);
-    const Schedule schedule = make_scheduler(entry.scheduler)->schedule(inst);
+    const Schedule schedule =
+        SchedulerRegistry::instance().make(entry.scheduler, kDefaultSchedulerSeed)->schedule(inst);
     EXPECT_EQ(schedule.makespan(), entry.makespan)
         << entry.scheduler << " on " << entry.fixture;
     EXPECT_TRUE(schedule.validate(inst).ok) << entry.scheduler << " on " << entry.fixture;
@@ -78,13 +79,15 @@ TEST(GoldenMakespans, BitIdenticalWithoutArena) {
 }
 
 TEST(GoldenMakespans, BitIdenticalWithSharedArena) {
+  const auto& registry = SchedulerRegistry::instance();
   // One arena across every (scheduler, fixture) combination: the view is
   // re-synced between fixtures and the scratch pool is recycled throughout,
   // exactly the PISA usage pattern.
   TimelineArena arena;
   for (const auto& entry : kGolden) {
     const auto& inst = fixture(entry.fixture);
-    const Schedule schedule = make_scheduler(entry.scheduler)->schedule(inst, &arena);
+    const Schedule schedule =
+        registry.make(entry.scheduler, kDefaultSchedulerSeed)->schedule(inst, &arena);
     EXPECT_EQ(schedule.makespan(), entry.makespan)
         << entry.scheduler << " on " << entry.fixture << " (arena path)";
   }
@@ -101,9 +104,11 @@ TEST(GoldenMakespans, RegistrySpecConstructionIsBitIdentical) {
     std::string spec_string = entry.scheduler;
     std::transform(spec_string.begin(), spec_string.end(), spec_string.begin(),
                    [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-    if (registry.resolve(entry.scheduler).randomized) spec_string += "?seed=1516896257";
+    if (registry.resolve(entry.scheduler).randomized) {
+      spec_string += "?seed=" + std::to_string(kDefaultSchedulerSeed);
+    }
     const Schedule schedule =
-        registry.make(parse_scheduler_spec(spec_string), 0x5a6a0001ULL)->schedule(inst);
+        registry.make(parse_spec(spec_string, "scheduler"), kDefaultSchedulerSeed)->schedule(inst);
     EXPECT_EQ(schedule.makespan(), entry.makespan)
         << spec_string << " on " << entry.fixture << " (registry spec path)";
   }
@@ -111,9 +116,10 @@ TEST(GoldenMakespans, RegistrySpecConstructionIsBitIdentical) {
 
 TEST(GoldenMakespans, ArenaAndOneShotSchedulesAgreeAssignmentByAssignment) {
   TimelineArena arena;
-  for (const auto& name : benchmark_scheduler_names()) {
+  const auto& registry = SchedulerRegistry::instance();
+  for (const auto& name : registry.names("benchmark", NameOrder::kLexicographic)) {
     const auto& inst = fixture("blast0");
-    const auto scheduler = make_scheduler(name);
+    const auto scheduler = registry.make(name, kDefaultSchedulerSeed);
     const Schedule one_shot = scheduler->schedule(inst);
     const Schedule pooled = scheduler->schedule(inst, &arena);
     ASSERT_EQ(one_shot.size(), pooled.size()) << name;

@@ -25,10 +25,11 @@ TEST(HeftVariants, DefaultIsThePublishedAlgorithm) {
 }
 
 TEST(HeftVariants, DefaultMatchesRegistryHeft) {
+  const auto& registry = SchedulerRegistry::instance();
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto inst = pisa::random_chain_instance(seed);
     EXPECT_DOUBLE_EQ(HeftScheduler{}.schedule(inst).makespan(),
-                     make_scheduler("HEFT")->schedule(inst).makespan());
+                     registry.make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan());
   }
 }
 
@@ -36,7 +37,7 @@ TEST(HeftVariants, AllVariantsProduceValidSchedules) {
   for (const auto& variant : all_variants()) {
     const HeftScheduler scheduler(variant);
     for (const char* dataset : {"chains", "blast"}) {
-      const auto inst = datasets::generate_instance(dataset, 2, 0);
+      const auto inst = datasets::DatasetRegistry::instance().make(dataset, 2)->generate(0);
       const auto result = scheduler.schedule(inst).validate(inst);
       EXPECT_TRUE(result.ok) << result.message;
     }
@@ -46,7 +47,7 @@ TEST(HeftVariants, AllVariantsProduceValidSchedules) {
 TEST(HeftVariants, RankStatisticsAgreeOnHomogeneousNetworks) {
   // With equal node speeds, mean/best/worst execution times coincide, so
   // all rank statistics produce identical priority lists and schedules.
-  ProblemInstance inst = datasets::generate_instance("chains", 9, 0);
+  ProblemInstance inst = datasets::DatasetRegistry::instance().make("chains", 9)->generate(0);
   for (NodeId v = 0; v < inst.network.node_count(); ++v) inst.network.set_speed(v, 1.0);
   const double mean_ms =
       HeftScheduler({RankStatistic::kMean, true}).schedule(inst).makespan();
@@ -72,7 +73,7 @@ TEST(HeftVariants, InsertionCanStrictlyBeatAppend) {
   // for a strict win to keep the test robust.
   bool strict_win = false;
   for (std::uint64_t seed = 0; seed < 40 && !strict_win; ++seed) {
-    const auto inst = datasets::generate_instance("in_trees", seed, 0);
+    const auto inst = datasets::DatasetRegistry::instance().make("in_trees", seed)->generate(0);
     const double with_insertion =
         HeftScheduler({RankStatistic::kMean, true}).schedule(inst).makespan();
     const double append_only =

@@ -20,8 +20,8 @@ TEST(Integration, MiniFig2Pipeline) {
   const std::vector<std::string> roster = {"HEFT", "CPoP", "FastestNode"};
   std::vector<analysis::DatasetBenchmark> benchmarks;
   for (const char* ds : {"chains", "blast"}) {
-    benchmarks.push_back(
-        analysis::benchmark_dataset(datasets::generate_dataset(ds, 42, 5), roster, 42));
+    const auto source = datasets::DatasetRegistry::instance().make(ds, 42);
+    benchmarks.push_back(analysis::benchmark_source(*source, ds, 5, roster, 42));
   }
   const auto table = analysis::benchmarking_table(benchmarks, roster, "mini fig2");
   EXPECT_EQ(table.rows(), 2u);
@@ -48,8 +48,8 @@ TEST(Integration, MiniFig4Pipeline) {
 TEST(Integration, AdversarialWitnessSurvivesSerializationRoundTrip) {
   // PISA result -> save -> load -> replay: the ratio must be identical.
   // This is the publishing workflow the paper's conclusion proposes.
-  const auto heft = make_scheduler("HEFT");
-  const auto fn = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto fn = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   pisa::PisaOptions options;
   options.restarts = 2;
   const auto found = pisa::run_pisa(*heft, *fn, options, 7);
@@ -62,9 +62,8 @@ TEST(Integration, MiniAppSpecificPipeline) {
   // One (workflow, CCR) cell of Fig. 10 end to end: benchmarking row plus
   // a 2-scheduler PISA grid.
   const std::vector<std::string> roster = {"HEFT", "CPoP"};
-  auto ds = datasets::generate_dataset("srasearch", 3, 4);
-  for (auto& inst : ds.instances) workflows::set_homogeneous_ccr(inst, 1.0);
-  const auto benchmark = analysis::benchmark_dataset(ds, roster, 3);
+  const auto source = datasets::DatasetRegistry::instance().make("srasearch?ccr=1", 3);
+  const auto benchmark = analysis::benchmark_source(*source, "srasearch", 4, roster, 3);
 
   pisa::PairwiseOptions grid_options;
   grid_options.pisa = pisa::app_specific_options("srasearch", 1.0, 3);
@@ -80,22 +79,22 @@ TEST(Integration, MiniAppSpecificPipeline) {
 }
 
 TEST(Integration, AllSixteenDatasetsGenerateAndScheduleCleanly) {
-  for (const auto& spec : datasets::all_dataset_specs()) {
-    const auto inst = datasets::generate_instance(spec.name, 1, 0);
-    const auto schedule = make_scheduler("HEFT")->schedule(inst);
-    const auto validation = schedule.validate(inst);
-    EXPECT_TRUE(validation.ok) << spec.name << ": " << validation.message;
+  const auto& registry = datasets::DatasetRegistry::instance();
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  for (const auto& name : registry.names("table2")) {
+    const auto inst = registry.make(name, 1)->generate(0);
+    const auto validation = heft->schedule(inst).validate(inst);
+    EXPECT_TRUE(validation.ok) << name << ": " << validation.message;
   }
-  EXPECT_EQ(datasets::all_dataset_specs().size(), 16u);
+  EXPECT_EQ(registry.names("table2").size(), 16u);
 }
 
 TEST(Integration, PaperInstanceCountsRecorded) {
-  for (const auto& spec : datasets::all_dataset_specs()) {
-    const bool is_workflow =
-        std::find(datasets::workflow_dataset_names().begin(),
-                  datasets::workflow_dataset_names().end(),
-                  spec.name) != datasets::workflow_dataset_names().end();
-    EXPECT_EQ(spec.paper_instance_count, is_workflow ? 100u : 1000u) << spec.name;
+  const auto& registry = datasets::DatasetRegistry::instance();
+  for (const auto& desc : registry.descriptors()) {
+    if (!desc.has_tag("table2")) continue;
+    EXPECT_EQ(desc.paper_count, desc.has_tag("workflow") ? 100u : 1000u) << desc.name;
+    EXPECT_EQ(registry.make(desc.name, 1)->size(), desc.paper_count) << desc.name;
   }
 }
 

@@ -602,8 +602,8 @@ TEST(ViewPatches, PerturbationWalkMatchesFreshSyncEveryStep) {
 }
 
 TEST(ViewPatches, MakespansThroughPatchedViewMatchFreshEvaluation) {
-  const auto heft = make_scheduler("HEFT", 1);
-  const auto cpop = make_scheduler("CPoP", 2);
+  const auto heft = SchedulerRegistry::instance().make("HEFT", 1);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", 2);
   auto config = pisa::PerturbationConfig::generic();
   ProblemInstance state = pisa::random_chain_instance(5);
   TimelineArena arena;
@@ -622,8 +622,8 @@ TEST(ViewPatches, MakespansThroughPatchedViewMatchFreshEvaluation) {
 TEST(Annealer, TypeErasedObjectiveMatchesSchedulerPairPath) {
   // anneal() runs the templated concrete-lambda path; anneal_objective runs
   // the std::function path. Same seed: identical trajectories.
-  const auto target = make_scheduler("HEFT", 1);
-  const auto baseline = make_scheduler("CPoP", 2);
+  const auto target = SchedulerRegistry::instance().make("HEFT", 1);
+  const auto baseline = SchedulerRegistry::instance().make("CPoP", 2);
   const auto config = pisa::PerturbationConfig::generic();
   const auto initial = pisa::random_chain_instance(3);
   pisa::AnnealingParams params;

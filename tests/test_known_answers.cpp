@@ -29,7 +29,8 @@ ProblemInstance chain_ab() {
 
 TEST(KnownAnswer, ChainAb_HeftColocatesOnFastNode) {
   const auto inst = chain_ab();
-  const Schedule s = make_scheduler("HEFT")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_EQ(s.of_task(0).node, 1u);
   EXPECT_EQ(s.of_task(1).node, 1u);
   EXPECT_DOUBLE_EQ(s.makespan(), 3.0);
@@ -37,7 +38,8 @@ TEST(KnownAnswer, ChainAb_HeftColocatesOnFastNode) {
 
 TEST(KnownAnswer, ChainAb_CpopPinsCriticalPathToFastNode) {
   const auto inst = chain_ab();
-  const Schedule s = make_scheduler("CPoP")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed)->schedule(inst);
   // Both tasks lie on the (only) critical path; the CP node is the one
   // minimising total CP execution time = the fast node.
   EXPECT_EQ(s.of_task(0).node, 1u);
@@ -46,15 +48,17 @@ TEST(KnownAnswer, ChainAb_CpopPinsCriticalPathToFastNode) {
 }
 
 TEST(KnownAnswer, ChainAb_GdlAgrees) {
+  const auto& registry = SchedulerRegistry::instance();
   // DL(a, v1) = SL(a) - 0 + (1.5 - 1) beats DL(a, v0) = SL(a) - 0 + (1.5-2);
   // then b's dynamic level also favours staying on the fast node.
   const auto inst = chain_ab();
-  EXPECT_DOUBLE_EQ(make_scheduler("GDL")->schedule(inst).makespan(), 3.0);
+  EXPECT_DOUBLE_EQ(registry.make("GDL", kDefaultSchedulerSeed)->schedule(inst).makespan(), 3.0);
 }
 
 TEST(KnownAnswer, ChainAb_MctGreedyFinishTimes) {
   const auto inst = chain_ab();
-  const Schedule s = make_scheduler("MCT")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("MCT", kDefaultSchedulerSeed)->schedule(inst);
   // a: finish 2 on v0 vs 1 on v1 -> v1; b: finish 3 on v1 vs 2+2/0.5... v1.
   EXPECT_DOUBLE_EQ(s.of_task(0).finish, 1.0);
   EXPECT_DOUBLE_EQ(s.makespan(), 3.0);
@@ -62,7 +66,8 @@ TEST(KnownAnswer, ChainAb_MctGreedyFinishTimes) {
 
 TEST(KnownAnswer, ChainAb_MetIgnoresAvailability) {
   const auto inst = chain_ab();
-  const Schedule s = make_scheduler("MET")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("MET", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_EQ(s.of_task(0).node, 1u);  // fastest execution for every task
   EXPECT_EQ(s.of_task(1).node, 1u);
   EXPECT_DOUBLE_EQ(s.makespan(), 3.0);
@@ -70,7 +75,8 @@ TEST(KnownAnswer, ChainAb_MetIgnoresAvailability) {
 
 TEST(KnownAnswer, ChainAb_OlbPicksIdleNodeRegardlessOfSpeed) {
   const auto inst = chain_ab();
-  const Schedule s = make_scheduler("OLB")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("OLB", kDefaultSchedulerSeed)->schedule(inst);
   // a goes to node 0 (both idle, id tie-break), paying the slow speed;
   // b then sees node 1 idle earlier... node1 avail 0 < node0 avail 2.
   EXPECT_EQ(s.of_task(0).node, 0u);
@@ -94,7 +100,8 @@ ProblemInstance fork_heavy_edge() {
 
 TEST(KnownAnswer, ForkHeavyEdge_FcpUsesEnablingNode) {
   const auto inst = fork_heavy_edge();
-  const Schedule s = make_scheduler("FCP")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("FCP", kDefaultSchedulerSeed)->schedule(inst);
   // c must stay with a (the enabling node); b can go either way but both
   // its candidates finish at 2. Total makespan 3 = a, then b and c
   // serialised/parallelised without paying the heavy edge.
@@ -104,14 +111,16 @@ TEST(KnownAnswer, ForkHeavyEdge_FcpUsesEnablingNode) {
 
 TEST(KnownAnswer, ForkHeavyEdge_FlbMatches) {
   const auto inst = fork_heavy_edge();
-  const Schedule s = make_scheduler("FLB")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("FLB", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_EQ(s.of_task(2).node, s.of_task(0).node);
   EXPECT_LE(s.makespan(), 3.0 + 1e-12);
 }
 
 TEST(KnownAnswer, ForkHeavyEdge_HeftAvoidsTheTransfer) {
   const auto inst = fork_heavy_edge();
-  const Schedule s = make_scheduler("HEFT")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   // b and c are both sinks with equal upward rank 1 (the heavy edge only
   // contributes to a's rank), so HEFT dispatches b first (id tie-break)
   // onto a's node, and c — whose EFT elsewhere would be 12 — lands on a's
@@ -137,14 +146,16 @@ TEST(KnownAnswer, BilIsOptimalOnChains) {
 }
 
 TEST(KnownAnswer, PeftFindsTheOptimumOnFig1) {
+  const auto& registry = SchedulerRegistry::instance();
   // PEFT's optimistic cost table sees that spreading the diamond pays
   // communication HEFT's pure EFT rule underestimates; it serialises on
   // the fast node and hits the BruteForce optimum 5.9/1.5, beating HEFT's
   // 4.25 — exactly the improvement Arabnejad & Barbosa report.
   const auto inst = fig1_instance();
-  EXPECT_NEAR(make_scheduler("PEFT")->schedule(inst).makespan(), 5.9 / 1.5, 1e-9);
-  EXPECT_LT(make_scheduler("PEFT")->schedule(inst).makespan(),
-            make_scheduler("HEFT")->schedule(inst).makespan());
+  EXPECT_NEAR(registry.make("PEFT", kDefaultSchedulerSeed)->schedule(inst).makespan(), 5.9 / 1.5,
+              1e-9);
+  EXPECT_LT(registry.make("PEFT", kDefaultSchedulerSeed)->schedule(inst).makespan(),
+            registry.make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan());
 }
 
 TEST(KnownAnswer, WbaZeroToleranceOnChainAb) {
@@ -161,7 +172,8 @@ TEST(KnownAnswer, EtfHomogeneousForkOrder) {
   ProblemInstance inst;
   for (int i = 0; i < 3; ++i) inst.graph.add_task(1.0);
   inst.network = Network(2);
-  const Schedule s = make_scheduler("ETF")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("ETF", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_DOUBLE_EQ(s.makespan(), 2.0);
 }
 
@@ -179,7 +191,8 @@ TEST(KnownAnswer, LmtLevelOrderOnDiamond) {
   inst.graph.add_dependency(light, d, 0.0);
   inst.network = Network(2);
   inst.network.set_speed(0, 2.0);
-  const Schedule s = make_scheduler("LMT")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("LMT", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_EQ(s.of_task(heavy).node, 0u);  // fast node
   EXPECT_TRUE(s.validate(inst).ok);
 }

@@ -75,7 +75,7 @@ TEST(Cost, ChargesSpeedWeightedOccupancy) {
 
 TEST(Evaluate, MakespanMatchesSchedule) {
   const auto inst = fig1_instance();
-  const auto s = make_scheduler("HEFT")->schedule(inst);
+  const auto s = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_DOUBLE_EQ(evaluate(Metric::kMakespan, inst, s), s.makespan());
 }
 
@@ -95,8 +95,8 @@ TEST(Evaluate, MetricNames) {
 }
 
 TEST(MetricRatio, MakespanMetricMatchesPaperObjective) {
-  const auto heft = make_scheduler("HEFT");
-  const auto cpop = make_scheduler("CPoP");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto cpop = SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed);
   const auto inst = pisa::random_chain_instance(5);
   EXPECT_DOUBLE_EQ(metric_ratio(Metric::kMakespan, *heft, *cpop, inst),
                    pisa::makespan_ratio(*heft, *cpop, inst));
@@ -106,8 +106,8 @@ TEST(MetricRatio, FastestNodeIsEnergyFrugal) {
   // Serialising on one node avoids comm energy and extra idle power, so
   // HEFT's energy ratio against FastestNode is >= 1 whenever HEFT uses
   // more than one node.
-  const auto heft = make_scheduler("HEFT");
-  const auto fn = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto fn = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   int heft_never_cheaper = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const auto inst = pisa::random_chain_instance(seed);
@@ -119,8 +119,8 @@ TEST(MetricRatio, FastestNodeIsEnergyFrugal) {
 TEST(MetricPisa, AnnealerMaximisesEnergyRatioObjective) {
   // The generalised objective plugs into anneal_objective: hunting for
   // instances where HEFT burns the most energy relative to FastestNode.
-  const auto heft = make_scheduler("HEFT");
-  const auto fn = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto fn = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   const auto objective = [&](const ProblemInstance& inst) {
     return metric_ratio(Metric::kEnergy, *heft, *fn, inst);
   };

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <string>
+
 #include "core/annealer.hpp"
 #include "datasets/registry.hpp"
 #include "online/online.hpp"
@@ -8,49 +11,60 @@
 namespace saga::online {
 namespace {
 
-class OnlinePolicyValidity : public ::testing::TestWithParam<std::string> {};
+/// Parameterized over the policies' display names (OnlinePolicy::name(),
+/// e.g. "online-EFT"); the registry spells each one as `Online?policy=`
+/// plus the lowercased suffix.
+class OnlinePolicyValidity : public ::testing::TestWithParam<std::string> {
+ protected:
+  [[nodiscard]] SchedulerPtr scheduler(std::uint64_t seed) const {
+    std::string policy = GetParam().substr(GetParam().find('-') + 1);
+    for (char& c : policy) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    return SchedulerRegistry::instance().make("Online?policy=" + policy, seed);
+  }
+};
 
 TEST_P(OnlinePolicyValidity, ProducesValidSchedules) {
-  const auto policy = make_online_policy(GetParam(), 3);
+  const auto online = scheduler(3);
   for (const char* dataset : {"chains", "blast", "montage"}) {
-    const auto inst = datasets::generate_instance(dataset, 5, 0);
-    const Schedule s = simulate_online(inst, *policy);
+    const auto inst = datasets::DatasetRegistry::instance().make(dataset, 5)->generate(0);
+    const Schedule s = online->schedule(inst);
     const auto result = s.validate(inst);
     EXPECT_TRUE(result.ok) << GetParam() << " on " << dataset << ": " << result.message;
   }
 }
 
 TEST_P(OnlinePolicyValidity, ValidOnPisaInstances) {
-  const auto policy = make_online_policy(GetParam(), 3);
+  const auto online = scheduler(3);
   for (std::uint64_t seed = 0; seed < 10; ++seed) {
     const auto inst = pisa::random_chain_instance(seed);
-    EXPECT_TRUE(simulate_online(inst, *policy).validate(inst).ok) << GetParam();
+    EXPECT_TRUE(online->schedule(inst).validate(inst).ok) << GetParam();
   }
 }
 
 TEST_P(OnlinePolicyValidity, DeterministicAcrossRuns) {
-  const auto inst = datasets::generate_instance("chains", 7, 1);
-  const auto p1 = make_online_policy(GetParam(), 9);
-  const auto p2 = make_online_policy(GetParam(), 9);
-  const Schedule a = simulate_online(inst, *p1);
-  const Schedule b = simulate_online(inst, *p2);
+  const auto inst = datasets::DatasetRegistry::instance().make("chains", 7)->generate(1);
+  const Schedule a = scheduler(9)->schedule(inst);
+  const Schedule b = scheduler(9)->schedule(inst);
   for (TaskId t = 0; t < inst.graph.task_count(); ++t) {
     EXPECT_EQ(a.of_task(t).node, b.of_task(t).node);
   }
 }
 
 TEST_P(OnlinePolicyValidity, PolicyIsReusableAcrossInstances) {
-  // reset() must clear per-instance state (round-robin cursor, RNG).
-  const auto policy = make_online_policy(GetParam(), 4);
-  const auto inst = datasets::generate_instance("chains", 2, 0);
-  const Schedule first = simulate_online(inst, *policy);
-  (void)simulate_online(datasets::generate_instance("chains", 2, 1), *policy);
-  const Schedule again = simulate_online(inst, *policy);
+  // Per-instance state (round-robin cursor, RNG) must not leak between
+  // schedule() calls on one scheduler.
+  const auto online = scheduler(4);
+  const auto source = datasets::DatasetRegistry::instance().make("chains", 2);
+  const auto inst = source->generate(0);
+  const Schedule first = online->schedule(inst);
+  (void)online->schedule(source->generate(1));
+  const Schedule again = online->schedule(inst);
   EXPECT_DOUBLE_EQ(first.makespan(), again.makespan());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, OnlinePolicyValidity,
-                         ::testing::ValuesIn(online_policy_names()),
+                         ::testing::Values("online-EFT", "online-RR", "online-Fastest",
+                                           "online-Locality", "online-Random"),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            std::string name = info.param;
                            for (char& c : name) {
@@ -60,14 +74,15 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, OnlinePolicyValidity,
                          });
 
 TEST(OnlineRegistry, UnknownPolicyThrows) {
-  EXPECT_THROW((void)make_online_policy("nope"), std::invalid_argument);
+  EXPECT_THROW((void)SchedulerRegistry::instance().make("Online?policy=nope", 1),
+               std::invalid_argument);
 }
 
 TEST(OnlineEft, NeverBeatenByOnlineRandomOnAverage) {
   double eft_total = 0.0, random_total = 0.0;
   const auto eft = make_online_eft();
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
-    const auto inst = datasets::generate_instance("chains", seed, 0);
+    const auto inst = datasets::DatasetRegistry::instance().make("chains", seed)->generate(0);
     eft_total += simulate_online(inst, *eft).makespan();
     auto random = make_online_random(seed);
     random_total += simulate_online(inst, *random).makespan();
@@ -76,17 +91,20 @@ TEST(OnlineEft, NeverBeatenByOnlineRandomOnAverage) {
 }
 
 TEST(OnlineFastest, MatchesOfflineFastestNode) {
+  const auto& registry = SchedulerRegistry::instance();
   // Placing every revealed task on the fastest node serialises the graph
   // exactly as the offline FastestNode scheduler does.
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto inst = pisa::random_chain_instance(seed);
     const auto policy = make_online_fastest();
     EXPECT_DOUBLE_EQ(simulate_online(inst, *policy).makespan(),
-                     make_scheduler("FastestNode")->schedule(inst).makespan());
+                     registry.make("FastestNode",
+                                   kDefaultSchedulerSeed)->schedule(inst).makespan());
   }
 }
 
 TEST(OnlineEft, PriceOfNoLookaheadIsBounded) {
+  const auto& registry = SchedulerRegistry::instance();
   // Online EFT cannot use ranks, but on chains there is nothing to rank:
   // it should match offline MCT exactly (same greedy rule, same dispatch
   // order on a chain).
@@ -103,7 +121,7 @@ TEST(OnlineEft, PriceOfNoLookaheadIsBounded) {
     inst.network.set_speed(1, 2.0);
     const auto policy = make_online_eft();
     EXPECT_DOUBLE_EQ(simulate_online(inst, *policy).makespan(),
-                     make_scheduler("MCT")->schedule(inst).makespan());
+                     registry.make("MCT", kDefaultSchedulerSeed)->schedule(inst).makespan());
   }
 }
 
@@ -144,9 +162,9 @@ TEST(OnlineVsOffline, LookaheadHasMeasurableValue) {
   // quantifying the price of online-ness.
   double online_total = 0.0, offline_total = 0.0;
   const auto policy = make_online_eft();
-  const auto heft = make_scheduler("HEFT");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   for (std::size_t i = 0; i < 30; ++i) {
-    const auto inst = datasets::generate_instance("montage", 11, i % 4);
+    const auto inst = datasets::DatasetRegistry::instance().make("montage", 11)->generate(i % 4);
     online_total += simulate_online(inst, *policy).makespan();
     offline_total += heft->schedule(inst).makespan();
   }

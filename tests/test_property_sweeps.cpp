@@ -18,7 +18,7 @@ class DatasetSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(DatasetSweep, InstancesAreWellFormed) {
   for (std::size_t i = 0; i < 5; ++i) {
-    const auto inst = datasets::generate_instance(GetParam(), 21, i);
+    const auto inst = datasets::DatasetRegistry::instance().make(GetParam(), 21)->generate(i);
     // Non-empty, acyclic, all weights valid.
     EXPECT_GT(inst.graph.task_count(), 0u);
     EXPECT_GT(inst.network.node_count(), 0u);
@@ -37,8 +37,8 @@ TEST_P(DatasetSweep, InstancesAreWellFormed) {
 }
 
 TEST_P(DatasetSweep, GenerationIsDeterministicPerIndex) {
-  const auto a = datasets::generate_instance(GetParam(), 33, 2);
-  const auto b = datasets::generate_instance(GetParam(), 33, 2);
+  const auto a = datasets::DatasetRegistry::instance().make(GetParam(), 33)->generate(2);
+  const auto b = datasets::DatasetRegistry::instance().make(GetParam(), 33)->generate(2);
   EXPECT_TRUE(a.graph.structurally_equal(b.graph));
   ASSERT_EQ(a.network.node_count(), b.network.node_count());
   for (NodeId v = 0; v < a.network.node_count(); ++v) {
@@ -47,8 +47,8 @@ TEST_P(DatasetSweep, GenerationIsDeterministicPerIndex) {
 }
 
 TEST_P(DatasetSweep, DistinctIndicesGiveDistinctInstances) {
-  const auto a = datasets::generate_instance(GetParam(), 33, 0);
-  const auto b = datasets::generate_instance(GetParam(), 33, 1);
+  const auto a = datasets::DatasetRegistry::instance().make(GetParam(), 33)->generate(0);
+  const auto b = datasets::DatasetRegistry::instance().make(GetParam(), 33)->generate(1);
   // Weights are continuous draws; identical instances would require dozens
   // of exact collisions.
   EXPECT_FALSE(a.graph.structurally_equal(b.graph));
@@ -58,11 +58,11 @@ TEST_P(DatasetSweep, HeftBeatsOrMatchesSerialBaseline) {
   // HEFT considers the serial placement among its choices implicitly; it
   // should rarely lose to FastestNode on in-distribution instances. We
   // assert the non-strict aggregate: mean HEFT makespan <= mean serial.
-  const auto heft = make_scheduler("HEFT");
-  const auto serial = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto serial = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   double heft_total = 0.0, serial_total = 0.0;
   for (std::size_t i = 0; i < 5; ++i) {
-    const auto inst = datasets::generate_instance(GetParam(), 44, i);
+    const auto inst = datasets::DatasetRegistry::instance().make(GetParam(), 44)->generate(i);
     heft_total += heft->schedule(inst).makespan();
     serial_total += serial->schedule(inst).makespan();
   }
@@ -70,24 +70,19 @@ TEST_P(DatasetSweep, HeftBeatsOrMatchesSerialBaseline) {
 }
 
 TEST_P(DatasetSweep, DuplexSandwichedBetweenComponents) {
-  const auto duplex = make_scheduler("Duplex");
-  const auto minmin = make_scheduler("MinMin");
-  const auto maxmin = make_scheduler("MaxMin");
+  const auto duplex = SchedulerRegistry::instance().make("Duplex", kDefaultSchedulerSeed);
+  const auto minmin = SchedulerRegistry::instance().make("MinMin", kDefaultSchedulerSeed);
+  const auto maxmin = SchedulerRegistry::instance().make("MaxMin", kDefaultSchedulerSeed);
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto inst = datasets::generate_instance(GetParam(), 55, i);
+    const auto inst = datasets::DatasetRegistry::instance().make(GetParam(), 55)->generate(i);
     const double d = duplex->schedule(inst).makespan();
     EXPECT_DOUBLE_EQ(
         d, std::min(minmin->schedule(inst).makespan(), maxmin->schedule(inst).makespan()));
   }
 }
 
-std::vector<std::string> all_dataset_names() {
-  std::vector<std::string> names;
-  for (const auto& spec : datasets::all_dataset_specs()) names.push_back(spec.name);
-  return names;
-}
-
-INSTANTIATE_TEST_SUITE_P(AllDatasets, DatasetSweep, ::testing::ValuesIn(all_dataset_names()),
+INSTANTIATE_TEST_SUITE_P(AllDatasets, DatasetSweep,
+                         ::testing::ValuesIn(datasets::DatasetRegistry::instance().names("table2")),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });
@@ -96,7 +91,7 @@ class WorkflowCcrSweep : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(WorkflowCcrSweep, CcrPinningIsExactForEveryWorkflow) {
   for (double ccr : {0.2, 1.0, 5.0}) {
-    auto inst = datasets::generate_instance(GetParam(), 13, 0);
+    auto inst = datasets::DatasetRegistry::instance().make(GetParam(), 13)->generate(0);
     workflows::set_homogeneous_ccr(inst, ccr);
     EXPECT_NEAR(inst.ccr(), ccr, 1e-9) << GetParam() << " at CCR " << ccr;
   }
@@ -104,23 +99,23 @@ TEST_P(WorkflowCcrSweep, CcrPinningIsExactForEveryWorkflow) {
 
 TEST_P(WorkflowCcrSweep, HigherCcrNeverSpeedsUpSerialBaseline) {
   // FastestNode pays no communication, so its makespan is CCR-invariant.
-  auto low = datasets::generate_instance(GetParam(), 14, 0);
-  auto high = datasets::generate_instance(GetParam(), 14, 0);
+  auto low = datasets::DatasetRegistry::instance().make(GetParam(), 14)->generate(0);
+  auto high = datasets::DatasetRegistry::instance().make(GetParam(), 14)->generate(0);
   workflows::set_homogeneous_ccr(low, 0.2);
   workflows::set_homogeneous_ccr(high, 5.0);
-  const auto serial = make_scheduler("FastestNode");
+  const auto serial = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   EXPECT_DOUBLE_EQ(serial->schedule(low).makespan(), serial->schedule(high).makespan());
 }
 
 TEST_P(WorkflowCcrSweep, HeftDegradesTowardSerialAsCcrGrows) {
   // As communication dominates, parallelisation pays less: HEFT's
   // advantage over FastestNode shrinks (ratio moves toward 1).
-  const auto heft = make_scheduler("HEFT");
-  const auto serial = make_scheduler("FastestNode");
+  const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
+  const auto serial = SchedulerRegistry::instance().make("FastestNode", kDefaultSchedulerSeed);
   double low_ratio = 0.0, high_ratio = 0.0;
   for (std::size_t i = 0; i < 3; ++i) {
-    auto low = datasets::generate_instance(GetParam(), 15, i);
-    auto high = datasets::generate_instance(GetParam(), 15, i);
+    auto low = datasets::DatasetRegistry::instance().make(GetParam(), 15)->generate(i);
+    auto high = datasets::DatasetRegistry::instance().make(GetParam(), 15)->generate(i);
     workflows::set_homogeneous_ccr(low, 0.2);
     workflows::set_homogeneous_ccr(high, 5.0);
     low_ratio += heft->schedule(low).makespan() / serial->schedule(low).makespan();
@@ -130,7 +125,8 @@ TEST_P(WorkflowCcrSweep, HeftDegradesTowardSerialAsCcrGrows) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkflows, WorkflowCcrSweep,
-                         ::testing::ValuesIn(datasets::workflow_dataset_names()),
+                         ::testing::ValuesIn(
+                             datasets::DatasetRegistry::instance().names("workflow")),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

@@ -49,7 +49,8 @@ TEST(Reexecute, MissingTaskThrows) {
 TEST(Reexecute, UnchangedWeightsReproduceThePlanExactly) {
   const ProblemInstance inst = fig1_instance();
   for (const std::string name : {"HEFT", "CPoP", "MinMin"}) {
-    const Schedule planned = make_scheduler(name)->schedule(inst);
+    const Schedule planned =
+        SchedulerRegistry::instance().make(name, kDefaultSchedulerSeed)->schedule(inst);
     const Schedule replayed = reexecute(planned, inst);
     ASSERT_EQ(replayed.size(), planned.size()) << name;
     for (const Assignment& a : planned.assignments()) {
@@ -74,7 +75,8 @@ TEST(Reexecute, ZeroCostTiesReplayExactly) {
   inst.graph.add_dependency(a, b, 0.0);
   inst.graph.add_dependency(b, c, 0.0);
 
-  const Schedule planned = make_scheduler("HEFT")->schedule(inst);
+  const Schedule planned =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   const Schedule replayed = reexecute(planned, inst);
   ASSERT_EQ(replayed.size(), 3u);
   for (const Assignment& p : planned.assignments()) {
@@ -89,7 +91,8 @@ TEST(Reexecute, ZeroCostTiesReplayExactly) {
 // the realized instance (no overlaps, dependencies respected).
 TEST(Reexecute, RealizedScheduleIsValidUnderPerturbedWeights) {
   const ProblemInstance inst = fig1_instance();
-  const Schedule planned = make_scheduler("HEFT")->schedule(inst);
+  const Schedule planned =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   StochasticInstance stochastic(inst);
   stochastic.apply_relative_noise(0.3);
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
@@ -103,9 +106,11 @@ TEST(Reexecute, RealizedScheduleIsValidUnderPerturbedWeights) {
 // On a deterministic (point-mass) stochastic instance, every realisation
 // is the mean instance: realized == planned makespan, regret exactly 1.
 TEST(Robustness, DeterministicInstanceHasNoSpreadAndUnitRegret) {
+  const auto& registry = SchedulerRegistry::instance();
   const StochasticInstance stochastic(fig1_instance());
   ASSERT_TRUE(stochastic.is_deterministic());
-  const auto report = evaluate_robustness(*make_scheduler("HEFT"), stochastic, 4, 42);
+  const auto report =
+      evaluate_robustness(*registry.make("HEFT", kDefaultSchedulerSeed), stochastic, 4, 42);
   EXPECT_EQ(report.realized.count, 4u);
   EXPECT_EQ(report.realized.min, report.planned_makespan);
   EXPECT_EQ(report.realized.max, report.planned_makespan);
@@ -118,7 +123,7 @@ TEST(Robustness, DeterministicInstanceHasNoSpreadAndUnitRegret) {
 TEST(Robustness, EvaluationIsSeedDeterministic) {
   StochasticInstance stochastic(fig1_instance());
   stochastic.apply_relative_noise(0.3);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const auto first = evaluate_robustness(*scheduler, stochastic, 16, 7);
   const auto second = evaluate_robustness(*scheduler, stochastic, 16, 7);
   EXPECT_EQ(first.realized.mean, second.realized.mean);  // bitwise

@@ -8,7 +8,8 @@ namespace {
 
 TEST(ScheduleIo, RoundTripsHeftOnFig1) {
   const auto inst = fig1_instance();
-  const Schedule original = make_scheduler("HEFT")->schedule(inst);
+  const Schedule original =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   const Schedule copy = schedule_from_string(schedule_to_string(original));
   ASSERT_EQ(copy.size(), original.size());
   for (TaskId t = 0; t < inst.graph.task_count(); ++t) {
@@ -55,7 +56,8 @@ TEST(ScheduleIo, SkipsCommentsAndBlankLines) {
 
 TEST(ScheduleIo, LoadedScheduleFailsValidationOnWrongInstance) {
   // A schedule for Fig. 1 does not validate against a 1-node instance.
-  const Schedule original = make_scheduler("HEFT")->schedule(fig1_instance());
+  const Schedule original =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(fig1_instance());
   const Schedule copy = schedule_from_string(schedule_to_string(original));
   ProblemInstance other;
   other.graph.add_task("x", 1.0);

@@ -1,8 +1,8 @@
 // Scheduler spec grammar and descriptor registry: parse/round-trip of
 // "name?key=val&key=val" strings, duplicate/unknown-key rejection with
 // nearest-name suggestions, alias and case-insensitive resolution, tag
-// enumeration consistency with the historical rosters, and bit-identical
-// construction through spec strings vs make_scheduler.
+// enumeration pinned to the historical rosters, and bit-identical
+// construction through bare names vs spelled-out default parameters.
 
 #include <gtest/gtest.h>
 
@@ -10,11 +10,11 @@
 #include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/nearest.hpp"
 #include "core/annealer.hpp"
 #include "sched/registry.hpp"
-#include "sched/spec.hpp"
 
 namespace {
 
@@ -23,14 +23,14 @@ using namespace saga;
 // --- grammar ---------------------------------------------------------------
 
 TEST(SchedulerSpecGrammar, ParsesBareName) {
-  const auto spec = parse_scheduler_spec("HEFT");
+  const auto spec = parse_spec("HEFT", "scheduler");
   EXPECT_EQ(spec.name, "HEFT");
   EXPECT_TRUE(spec.params.empty());
   EXPECT_EQ(spec.to_string(), "HEFT");
 }
 
 TEST(SchedulerSpecGrammar, ParsesParams) {
-  const auto spec = parse_scheduler_spec("ga?pop=64&gens=200");
+  const auto spec = parse_spec("ga?pop=64&gens=200", "scheduler");
   EXPECT_EQ(spec.name, "ga");
   ASSERT_EQ(spec.params.size(), 2u);
   EXPECT_EQ(spec.params[0].first, "pop");
@@ -43,27 +43,27 @@ TEST(SchedulerSpecGrammar, RoundTripsPreservingOrder) {
   for (const char* text :
        {"HEFT", "heft?rank=best&insertion=false", "ga?gens=200&pop=64",
         "ensemble?members=heft+cpop+minmin", "wba?tolerance=0.25&seed=7"}) {
-    EXPECT_EQ(parse_scheduler_spec(text).to_string(), text) << text;
+    EXPECT_EQ(parse_spec(text, "scheduler").to_string(), text) << text;
   }
 }
 
 TEST(SchedulerSpecGrammar, RejectsEmptyName) {
-  EXPECT_THROW((void)parse_scheduler_spec(""), std::invalid_argument);
-  EXPECT_THROW((void)parse_scheduler_spec("?pop=4"), std::invalid_argument);
+  EXPECT_THROW((void)parse_spec("", "scheduler"), std::invalid_argument);
+  EXPECT_THROW((void)parse_spec("?pop=4", "scheduler"), std::invalid_argument);
 }
 
 TEST(SchedulerSpecGrammar, RejectsMissingEquals) {
-  EXPECT_THROW((void)parse_scheduler_spec("ga?pop"), std::invalid_argument);
+  EXPECT_THROW((void)parse_spec("ga?pop", "scheduler"), std::invalid_argument);
 }
 
 TEST(SchedulerSpecGrammar, RejectsEmptyParamSection) {
-  EXPECT_THROW((void)parse_scheduler_spec("ga?"), std::invalid_argument);
-  EXPECT_THROW((void)parse_scheduler_spec("ga?pop=4&"), std::invalid_argument);
+  EXPECT_THROW((void)parse_spec("ga?", "scheduler"), std::invalid_argument);
+  EXPECT_THROW((void)parse_spec("ga?pop=4&", "scheduler"), std::invalid_argument);
 }
 
 TEST(SchedulerSpecGrammar, RejectsDuplicateKeyNamingIt) {
   try {
-    (void)parse_scheduler_spec("ga?pop=4&pop=8");
+    (void)parse_spec("ga?pop=4&pop=8", "scheduler");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("duplicate parameter 'pop'"), std::string::npos)
@@ -72,14 +72,14 @@ TEST(SchedulerSpecGrammar, RejectsDuplicateKeyNamingIt) {
 }
 
 TEST(SchedulerSpecGrammar, RejectsEmptyKeyAndValue) {
-  EXPECT_THROW((void)parse_scheduler_spec("ga?=4"), std::invalid_argument);
-  EXPECT_THROW((void)parse_scheduler_spec("ga?pop="), std::invalid_argument);
+  EXPECT_THROW((void)parse_spec("ga?=4", "scheduler"), std::invalid_argument);
+  EXPECT_THROW((void)parse_spec("ga?pop=", "scheduler"), std::invalid_argument);
 }
 
 // --- typed params ----------------------------------------------------------
 
 TEST(SchedulerParams, TypedConversionErrorsNameSchedulerAndKey) {
-  const auto spec = parse_scheduler_spec("ga?pop=banana");
+  const auto spec = parse_spec("ga?pop=banana", "scheduler");
   try {
     (void)SchedulerRegistry::instance().make(spec, 1);
     FAIL() << "expected std::invalid_argument";
@@ -119,10 +119,11 @@ TEST(SchedulerParams, OutOfRangeValuesAreRejectedNamingTheKey) {
 
 TEST(SchedulerParams, BoolAndListParsing) {
   // insertion=false flips HEFT's placement; members lists split on '+'.
-  EXPECT_NO_THROW((void)make_scheduler("heft?insertion=false"));
-  EXPECT_NO_THROW((void)make_scheduler("ensemble?members=heft+cpop"));
-  EXPECT_THROW((void)make_scheduler("heft?insertion=maybe"), std::invalid_argument);
-  EXPECT_THROW((void)make_scheduler("ensemble?members=heft++cpop"), std::invalid_argument);
+  const auto& registry = SchedulerRegistry::instance();
+  EXPECT_NO_THROW((void)registry.make("heft?insertion=false", 1));
+  EXPECT_NO_THROW((void)registry.make("ensemble?members=heft+cpop", 1));
+  EXPECT_THROW((void)registry.make("heft?insertion=maybe", 1), std::invalid_argument);
+  EXPECT_THROW((void)registry.make("ensemble?members=heft++cpop", 1), std::invalid_argument);
 }
 
 // --- registry resolution ---------------------------------------------------
@@ -150,7 +151,7 @@ TEST(SchedulerRegistry, UnknownNameSuggestsNearest) {
 
 TEST(SchedulerRegistry, UnknownParamSuggestsNearestAndListsValid) {
   try {
-    (void)SchedulerRegistry::instance().make(parse_scheduler_spec("ga?pops=4"), 1);
+    (void)SchedulerRegistry::instance().make(parse_spec("ga?pops=4", "scheduler"), 1);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -161,19 +162,26 @@ TEST(SchedulerRegistry, UnknownParamSuggestsNearestAndListsValid) {
 }
 
 TEST(SchedulerRegistry, ParamlessSchedulerRejectsAnyKey) {
-  EXPECT_THROW((void)make_scheduler("minmin?foo=1"), std::invalid_argument);
-  EXPECT_NO_THROW((void)make_scheduler("minmin?seed=1"));  // universal key
+  const auto& registry = SchedulerRegistry::instance();
+  EXPECT_THROW((void)registry.make("minmin?foo=1", 1), std::invalid_argument);
+  EXPECT_NO_THROW((void)registry.make("minmin?seed=1", 1));  // universal key
 }
 
 TEST(SchedulerRegistry, TagEnumerationMatchesHistoricalRosters) {
+  // Roster order seeds the experiment drivers' per-cell RNG streams, so
+  // every roster is pinned literally, order included.
+  using Names = std::vector<std::string>;
   auto& registry = SchedulerRegistry::instance();
-  EXPECT_EQ(registry.names("table1", NameOrder::kRegistration), all_scheduler_names());
+  EXPECT_EQ(registry.names("table1", NameOrder::kRegistration),
+            (Names{"BIL", "BruteForce", "CPoP", "Duplex", "ETF", "FastestNode", "FCP", "FLB",
+                   "GDL", "HEFT", "MaxMin", "MCT", "MET", "MinMin", "OLB", "SMT", "WBA"}));
   EXPECT_EQ(registry.names("benchmark", NameOrder::kLexicographic),
-            benchmark_scheduler_names());
+            (Names{"BIL", "CPoP", "Duplex", "ETF", "FCP", "FLB", "FastestNode", "GDL", "HEFT",
+                   "MCT", "MET", "MaxMin", "MinMin", "OLB", "WBA"}));
   EXPECT_EQ(registry.names("app-specific", NameOrder::kRegistration),
-            app_specific_scheduler_names());
+            (Names{"CPoP", "FastestNode", "HEFT", "MaxMin", "MinMin", "WBA"}));
   EXPECT_EQ(registry.names("extension", NameOrder::kRegistration),
-            extension_scheduler_names());
+            (Names{"ERT", "MH", "LMT", "LC", "GA", "SimAnneal", "Ensemble", "PEFT"}));
   EXPECT_EQ(registry.names().size(), 26u);
 }
 
@@ -192,7 +200,7 @@ TEST(SchedulerRegistry, DescriptorsDeclareRequirementsMatchingInstances) {
   auto& registry = SchedulerRegistry::instance();
   for (const auto& desc : registry.descriptors()) {
     if (desc.name == "Ensemble") continue;  // derived from members at runtime
-    const auto scheduler = registry.make(parse_scheduler_spec(desc.name), 1);
+    const auto scheduler = registry.make(parse_spec(desc.name, "scheduler"), 1);
     const auto reqs = scheduler->requirements();
     EXPECT_EQ(desc.requirements.homogeneous_node_speeds, reqs.homogeneous_node_speeds)
         << desc.name;
@@ -205,19 +213,20 @@ TEST(SchedulerRegistry, EnsembleMembersValidateEagerly) {
   // A misspelled member must fail at construction (where spec validation
   // and `saga run --dry-run` catch it), not on the first schedule() call.
   try {
-    (void)make_scheduler("ensemble?members=hft+cpop");
+    (void)SchedulerRegistry::instance().make("ensemble?members=hft+cpop", 1);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("did you mean 'HEFT'?"), std::string::npos)
         << e.what();
   }
-  EXPECT_NO_THROW((void)make_scheduler("ensemble?members=heft+cpop"));
+  EXPECT_NO_THROW((void)SchedulerRegistry::instance().make("ensemble?members=heft+cpop", 1));
 }
 
 TEST(SchedulerRegistry, SeedParamOverridesFactorySeed) {
   const auto inst = pisa::random_chain_instance(3);
-  const auto a = make_scheduler("wba?seed=7", 999)->schedule(inst);
-  const auto b = make_scheduler("WBA", 7)->schedule(inst);
+  const auto& registry = SchedulerRegistry::instance();
+  const auto a = registry.make("wba?seed=7", 999)->schedule(inst);
+  const auto b = registry.make("WBA", 7)->schedule(inst);
   EXPECT_EQ(a.makespan(), b.makespan());
 }
 
@@ -226,7 +235,9 @@ TEST(SchedulerRegistry, AddRejectsCollisions) {
   SchedulerDesc desc;
   desc.name = "Dummy";
   desc.aliases = {"dm"};
-  desc.factory = [](const SchedulerParams&, std::uint64_t) { return make_scheduler("HEFT"); };
+  desc.factory = [](const SchedulerParams&, std::uint64_t seed) {
+    return SchedulerRegistry::instance().make("HEFT", seed);
+  };
   registry.add(desc);
   EXPECT_THROW(registry.add(desc), std::invalid_argument);  // same name
   SchedulerDesc alias_clash = desc;
@@ -242,8 +253,8 @@ TEST(SchedulerRegistry, AddRejectsCollisions) {
 
 TEST(SchedulerRegistry, SpecConstructionMatchesMakeSchedulerOnChainInstance) {
   // Spec strings with explicitly spelled default parameters must construct
-  // schedulers bit-identical to the bare-name shims (the golden-makespan
-  // suite covers all fixtures; this covers the parameterized paths).
+  // schedulers bit-identical to the bare names (the golden-makespan suite
+  // covers all fixtures; this covers the parameterized paths).
   const auto inst = pisa::random_chain_instance(11);
   const std::pair<const char*, const char*> equivalents[] = {
       {"HEFT", "heft?rank=mean&insertion=true"},
@@ -254,9 +265,9 @@ TEST(SchedulerRegistry, SpecConstructionMatchesMakeSchedulerOnChainInstance) {
       {"Ensemble", "ensemble?members=HEFT+CPoP+MinMin"},
   };
   for (const auto& [name, spec] : equivalents) {
-    const std::uint64_t seed = 0x5a6a0001ULL;
-    const auto via_name = make_scheduler(name, seed)->schedule(inst);
-    const auto via_spec = make_scheduler(spec, seed)->schedule(inst);
+    const auto& registry = SchedulerRegistry::instance();
+    const auto via_name = registry.make(name, kDefaultSchedulerSeed)->schedule(inst);
+    const auto via_spec = registry.make(spec, kDefaultSchedulerSeed)->schedule(inst);
     EXPECT_EQ(via_name.makespan(), via_spec.makespan()) << spec;
   }
 }

@@ -138,8 +138,10 @@ TEST(Wba, ZeroToleranceIsPureGreedy) {
 TEST(HeftAndCpop, MatchOnFig1) {
   // Both find the same (good) schedule on the paper's example.
   const auto inst = fig1_instance();
-  const double heft = make_scheduler("HEFT")->schedule(inst).makespan();
-  const double cpop = make_scheduler("CPoP")->schedule(inst).makespan();
+  const double heft =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan();
+  const double cpop =
+      SchedulerRegistry::instance().make("CPoP", kDefaultSchedulerSeed)->schedule(inst).makespan();
   EXPECT_NEAR(heft, 4.25, 1e-9);
   EXPECT_NEAR(cpop, 4.25, 1e-9);
 }
@@ -154,7 +156,8 @@ TEST(Heft, UsesInsertionGaps) {
   inst.graph.add_dependency(src, heavy, 0.1);
   inst.graph.add_dependency(src, light, 20.0);  // must stay co-located
   inst.network = Network(2);
-  const Schedule s = make_scheduler("HEFT")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_TRUE(s.validate(inst).ok);
 }
 
@@ -165,35 +168,39 @@ TEST(Etf, PicksEarliestStartNotEarliestFinish) {
   inst.graph.add_task("big", 10.0);
   inst.graph.add_task("small", 1.0);
   inst.network = Network(1);
-  const Schedule s = make_scheduler("ETF")->schedule(inst);
+  const Schedule s =
+      SchedulerRegistry::instance().make("ETF", kDefaultSchedulerSeed)->schedule(inst);
   // Both could start at 0; the bigger static level (big) goes first.
   EXPECT_DOUBLE_EQ(s.of_task(0).start, 0.0);
 }
 
 TEST(AllSchedulers, NamesMatchRegistry) {
-  for (const auto& name : all_scheduler_names()) {
-    EXPECT_EQ(make_scheduler(name)->name(), name);
+  for (const auto& name : SchedulerRegistry::instance().names("table1")) {
+    EXPECT_EQ(SchedulerRegistry::instance().make(name, kDefaultSchedulerSeed)->name(), name);
   }
 }
 
 TEST(Registry, UnknownSchedulerThrows) {
-  EXPECT_THROW((void)make_scheduler("NoSuchAlgorithm"), std::invalid_argument);
+  EXPECT_THROW((void)SchedulerRegistry::instance().make("NoSuchAlgorithm", 1),
+               std::invalid_argument);
 }
 
 TEST(Registry, RosterSizes) {
-  EXPECT_EQ(all_scheduler_names().size(), 17u);
-  EXPECT_EQ(benchmark_scheduler_names().size(), 15u);
-  EXPECT_EQ(app_specific_scheduler_names().size(), 6u);
-  EXPECT_EQ(make_benchmark_schedulers().size(), 15u);
+  const auto& registry = SchedulerRegistry::instance();
+  EXPECT_EQ(registry.names("table1").size(), 17u);
+  EXPECT_EQ(registry.names("benchmark").size(), 15u);
+  EXPECT_EQ(registry.names("app-specific").size(), 6u);
 }
 
 TEST(Registry, RequirementsMatchPaperSectionVI) {
+  const auto& registry = SchedulerRegistry::instance();
   // ETF, FCP, FLB: homogeneous node speeds. BIL, GDL, FCP, FLB: homogeneous
   // link strengths.
   const auto homogeneous_speeds = {"ETF", "FCP", "FLB"};
   const auto homogeneous_links = {"BIL", "GDL", "FCP", "FLB"};
-  for (const auto& name : benchmark_scheduler_names()) {
-    const auto reqs = make_scheduler(name)->requirements();
+  for (const auto& name : registry.names("benchmark", NameOrder::kLexicographic)) {
+    const auto reqs =
+        registry.make(name, kDefaultSchedulerSeed)->requirements();
     const bool want_speed =
         std::find(homogeneous_speeds.begin(), homogeneous_speeds.end(), name) !=
         homogeneous_speeds.end();

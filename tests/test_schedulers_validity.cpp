@@ -22,9 +22,9 @@ class SchedulerValidity : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SchedulerValidity, ProducesValidSchedules) {
   const auto& [sched_name, dataset] = GetParam();
-  const auto scheduler = make_scheduler(sched_name, 123);
+  const auto scheduler = SchedulerRegistry::instance().make(sched_name, 123);
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto inst = datasets::generate_instance(dataset, 7, i);
+    const auto inst = datasets::DatasetRegistry::instance().make(dataset, 7)->generate(i);
     const Schedule s = scheduler->schedule(inst);
     const auto result = s.validate(inst);
     EXPECT_TRUE(result.ok) << sched_name << " on " << dataset << "[" << i
@@ -36,9 +36,9 @@ TEST_P(SchedulerValidity, ProducesValidSchedules) {
 
 TEST_P(SchedulerValidity, DeterministicForFixedSeed) {
   const auto& [sched_name, dataset] = GetParam();
-  const auto inst = datasets::generate_instance(dataset, 11, 0);
-  const auto a = make_scheduler(sched_name, 5)->schedule(inst);
-  const auto b = make_scheduler(sched_name, 5)->schedule(inst);
+  const auto inst = datasets::DatasetRegistry::instance().make(dataset, 11)->generate(0);
+  const auto a = SchedulerRegistry::instance().make(sched_name, 5)->schedule(inst);
+  const auto b = SchedulerRegistry::instance().make(sched_name, 5)->schedule(inst);
   ASSERT_EQ(a.size(), b.size());
   for (TaskId t = 0; t < inst.graph.task_count(); ++t) {
     EXPECT_EQ(a.of_task(t).node, b.of_task(t).node);
@@ -47,6 +47,7 @@ TEST_P(SchedulerValidity, DeterministicForFixedSeed) {
 }
 
 std::vector<Param> validity_params() {
+  const auto& registry = SchedulerRegistry::instance();
   std::vector<Param> params;
   // Every polynomial scheduler crossed with a structurally diverse subset
   // of the datasets (all 16 would make this suite needlessly slow; these
@@ -54,7 +55,7 @@ std::vector<Param> validity_params() {
   // large Edge/Fog/Cloud networks).
   const std::vector<std::string> datasets = {"in_trees", "chains",  "blast",
                                              "montage",  "epigenomics", "etl"};
-  for (const auto& s : benchmark_scheduler_names()) {
+  for (const auto& s : registry.names("benchmark", NameOrder::kLexicographic)) {
     for (const auto& d : datasets) params.emplace_back(s, d);
   }
   return params;
@@ -71,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(AllSchedulersAllFamilies, SchedulerValidity,
 class SchedulerOnPisaInstances : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(SchedulerOnPisaInstances, ValidOnRandomChainInstances) {
-  const auto scheduler = make_scheduler(GetParam(), 99);
+  const auto scheduler = SchedulerRegistry::instance().make(GetParam(), 99);
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
     const auto inst = pisa::random_chain_instance(seed);
     const Schedule s = scheduler->schedule(inst);
@@ -86,7 +87,7 @@ TEST_P(SchedulerOnPisaInstances, HandlesAllZeroCostGraph) {
   const TaskId b = inst.graph.add_task("b", 0.0);
   inst.graph.add_dependency(a, b, 0.0);
   inst.network = Network(3);
-  const auto scheduler = make_scheduler(GetParam(), 1);
+  const auto scheduler = SchedulerRegistry::instance().make(GetParam(), 1);
   const Schedule s = scheduler->schedule(inst);
   EXPECT_TRUE(s.validate(inst).ok);
   EXPECT_DOUBLE_EQ(s.makespan(), 0.0);
@@ -96,7 +97,7 @@ TEST_P(SchedulerOnPisaInstances, HandlesSingleTaskSingleNode) {
   ProblemInstance inst;
   inst.graph.add_task("only", 2.0);
   inst.network = Network(1);
-  const auto scheduler = make_scheduler(GetParam(), 1);
+  const auto scheduler = SchedulerRegistry::instance().make(GetParam(), 1);
   const Schedule s = scheduler->schedule(inst);
   EXPECT_TRUE(s.validate(inst).ok);
   EXPECT_DOUBLE_EQ(s.makespan(), 2.0);
@@ -105,14 +106,15 @@ TEST_P(SchedulerOnPisaInstances, HandlesSingleTaskSingleNode) {
 TEST_P(SchedulerOnPisaInstances, HandlesEmptyGraph) {
   ProblemInstance inst;
   inst.network = Network(2);
-  const auto scheduler = make_scheduler(GetParam(), 1);
+  const auto scheduler = SchedulerRegistry::instance().make(GetParam(), 1);
   const Schedule s = scheduler->schedule(inst);
   EXPECT_EQ(s.size(), 0u);
   EXPECT_DOUBLE_EQ(s.makespan(), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllSchedulers, SchedulerOnPisaInstances,
-                         ::testing::ValuesIn(benchmark_scheduler_names()),
+                         ::testing::ValuesIn(SchedulerRegistry::instance().names(
+                             "benchmark", NameOrder::kLexicographic)),
                          [](const ::testing::TestParamInfo<std::string>& info) {
                            return info.param;
                          });

@@ -45,7 +45,8 @@ TEST(ServeCodec, RegistryInstancesRoundTripByteIdentically) {
   std::size_t round_tripped = 0;
   for (const auto& spec : specs) {
     for (std::size_t index = 0; index < 2 && round_tripped < 25; ++index) {
-      const ProblemInstance inst = datasets::generate_instance(spec, 42, index);
+      const ProblemInstance inst =
+          datasets::DatasetRegistry::instance().make(spec, 42)->generate(index);
       const ProblemInstance decoded = instance_from_json(instance_to_json(inst));
       expect_same_instance(inst, decoded);
       EXPECT_EQ(instance_to_json(inst).dump(), instance_to_json(decoded).dump())
@@ -98,7 +99,7 @@ TEST(ServeCodec, ZeroCostTasksRoundTrip) {
 
 TEST(ServeCodec, ScheduleRoundTripsExactly) {
   const ProblemInstance inst = fig1_instance();
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const Schedule schedule = scheduler->schedule(inst);
   const Json encoded = schedule_to_json(schedule);
   const Schedule decoded = schedule_from_json(encoded);

@@ -50,7 +50,8 @@ TEST(ServeService, SchedulesInlineInstance) {
 
   const Json out = Json::parse(resp.body);
   EXPECT_EQ(out.find("scheduler")->as_string(), "HEFT");
-  const Schedule direct = make_scheduler("HEFT")->schedule(inst);
+  const Schedule direct =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   EXPECT_DOUBLE_EQ(out.find("makespan")->as_number(), direct.makespan());
   const Schedule decoded = schedule_from_json(*out.find("schedule"));
   EXPECT_TRUE(decoded.validate(inst).ok);
@@ -60,13 +61,16 @@ TEST(ServeService, SchedulesInlineInstance) {
 }
 
 TEST(ServeService, SchedulesDatasetSpec) {
+  const auto& registry = SchedulerRegistry::instance();
   ScheduleService service;
-  const std::string body = R"({"scheduler": "HEFT", "dataset": "chains?length=8", "index": 1, "seed": 7})";
+  const std::string body =
+      R"({"scheduler": "HEFT", "dataset": "chains?length=8", "index": 1, "seed": 7})";
   const HttpResponse resp = service.handle(make_request("POST", "/v1/schedule", body));
   ASSERT_EQ(resp.status, 200) << resp.body;
-  const ProblemInstance inst = datasets::generate_instance("chains?length=8", 7, 1);
+  const ProblemInstance inst =
+      datasets::DatasetRegistry::instance().make("chains?length=8", 7)->generate(1);
   EXPECT_DOUBLE_EQ(Json::parse(resp.body).find("makespan")->as_number(),
-                   make_scheduler("HEFT")->schedule(inst).makespan());
+                   registry.make("HEFT", kDefaultSchedulerSeed)->schedule(inst).makespan());
 }
 
 TEST(ServeService, TimingsAreOptIn) {
@@ -79,6 +83,7 @@ TEST(ServeService, TimingsAreOptIn) {
 }
 
 TEST(ServeService, CompareRanksSchedulers) {
+  const auto& registry = SchedulerRegistry::instance();
   ScheduleService service;
   const ProblemInstance inst = fig1_instance();
   const std::string body = Json::object({{"schedulers", Json::array({Json::string("HEFT"),
@@ -95,7 +100,8 @@ TEST(ServeService, CompareRanksSchedulers) {
   for (const auto& row : rows) {
     const double makespan = row.find("makespan")->as_number();
     const std::string name = row.find("scheduler")->as_string();
-    EXPECT_DOUBLE_EQ(makespan, make_scheduler(name)->schedule(inst).makespan());
+    EXPECT_DOUBLE_EQ(makespan,
+                     registry.make(name, kDefaultSchedulerSeed)->schedule(inst).makespan());
     best = std::min(best, makespan);
   }
   EXPECT_DOUBLE_EQ(out.find("best")->find("makespan")->as_number(), best);

@@ -166,7 +166,7 @@ std::vector<std::string> trace_lines_with(const std::string& rendered,
 
 TEST(SimDeterminism, RepeatedRunsProduceByteIdenticalTraces) {
   const sim::Scenario scenario = tiny_scenario();
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   std::vector<Event> first_trace;
   std::vector<Event> second_trace;
   const sim::SimReport first =
@@ -186,12 +186,14 @@ TEST(SimDeterminism, RepeatedRunsProduceByteIdenticalTraces) {
 // Workload streams derive from the experiment seed alone, so every
 // scheduler in a roster sees the same arrivals (fairness of comparison).
 TEST(SimDeterminism, EverySchedulerFacesTheIdenticalWorkload) {
+  const auto& registry = SchedulerRegistry::instance();
   const sim::Scenario scenario = tiny_scenario();
   std::vector<Event> heft_trace;
   std::vector<Event> minmin_trace;
-  (void)sim::simulate_scenario(scenario, *make_scheduler("HEFT"), 42, nullptr, &heft_trace);
-  (void)sim::simulate_scenario(scenario, *make_scheduler("MinMin"), 42, nullptr,
-                               &minmin_trace);
+  const auto heft = registry.make("HEFT", kDefaultSchedulerSeed);
+  const auto minmin = registry.make("MinMin", kDefaultSchedulerSeed);
+  (void)sim::simulate_scenario(scenario, *heft, 42, nullptr, &heft_trace);
+  (void)sim::simulate_scenario(scenario, *minmin, 42, nullptr, &minmin_trace);
 
   const auto heft_arrivals =
       trace_lines_with(sim::trace_to_string(heft_trace), "job-arrival");
@@ -380,7 +382,7 @@ sim::Scenario random_scenario(Rng& rng) {
 
 TEST(SimDeterminism, FuzzedScenariosReplayIdenticallyAndRoundTrip) {
   Rng rng(20260808);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   for (int round = 0; round < 25; ++round) {
     const sim::Scenario scenario = random_scenario(rng);
     ASSERT_NO_THROW(scenario.validate()) << "round " << round;

@@ -113,7 +113,7 @@ JitterEvent jitter_link(double at, std::size_t a, std::size_t b, double factor) 
 // counts the lost attempt: 4 + 10 = 14 of a 16-unit makespan.
 TEST(SimFaults, CrashMidTaskReexecutesExactlyTheLostWork) {
   const Network net(1);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   std::vector<Event> trace;
   const SimReport report =
       sim::simulate_jobs(net, {job_at(0.0, single_task(10.0))}, *scheduler,
@@ -145,7 +145,7 @@ TEST(SimFaults, CrashMidTaskReexecutesExactlyTheLostWork) {
 // drain and report the incomplete run instead of hanging.
 TEST(SimFaults, PermanentCrashLeavesTheJobIncomplete) {
   const Network net(1);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const SimReport report = sim::simulate_jobs(net, {job_at(0.0, single_task(10.0))},
                                               *scheduler, {crash_at(0, 1.0)}, {});
   EXPECT_EQ(report.jobs, 1u);
@@ -160,7 +160,7 @@ TEST(SimFaults, PermanentCrashLeavesTheJobIncomplete) {
 // anything: crash at 0, job arrives at 1, recover at 5 -> runs 5..7.
 TEST(SimFaults, RecoverRestoresCapacityForQueuedWork) {
   const Network net(1);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const SimReport report =
       sim::simulate_jobs(net, {job_at(1.0, single_task(2.0))}, *scheduler,
                          {crash_at(0, 0.0), recover_at(0, 5.0)}, {});
@@ -184,7 +184,7 @@ TEST(SimFaults, SlowdownStretchesExactlyTheOverlappingWork) {
   const TaskId a = graph.add_task(10.0);
   const TaskId b = graph.add_task(10.0);
   graph.add_dependency(a, b, 0.0);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const SimReport report = sim::simulate_jobs(net, {job_at(0.0, std::move(graph))},
                                               *scheduler, {slowdown(0, 2.0, 5.0, 2.0)}, {});
   EXPECT_EQ(report.completed_jobs, 1u);
@@ -201,7 +201,7 @@ TEST(SimFaults, SlowdownStretchesExactlyTheOverlappingWork) {
 // Window [0, 2) factor 2: 1 unit done by t=2, 9 remain, finish at t=11.
 TEST(SimFaults, SlowdownBeginningAtDispatchTimeAppliesToTheTask) {
   const Network net(1);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const SimReport report = sim::simulate_jobs(net, {job_at(0.0, single_task(10.0))},
                                               *scheduler, {slowdown(0, 0.0, 2.0, 2.0)}, {});
   EXPECT_EQ(report.makespan, 11.0);
@@ -210,7 +210,7 @@ TEST(SimFaults, SlowdownBeginningAtDispatchTimeAppliesToTheTask) {
 // A window that opens after all work is done changes nothing but the trace.
 TEST(SimFaults, SlowdownOutsideExecutionHasNoEffect) {
   const Network net(1);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   std::vector<Event> trace;
   const SimReport report =
       sim::simulate_jobs(net, {job_at(0.0, single_task(10.0))}, *scheduler,
@@ -292,7 +292,7 @@ TEST(SimFaults, JitterIsSampledAtTransferStart) {
 // second queues behind the first: runs 10..20, response 19.
 TEST(SimFaults, LaterJobsQueueBehindEarlierOnes) {
   const Network net(1);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const SimReport report =
       sim::simulate_jobs(net, {job_at(0.0, single_task(10.0)), job_at(1.0, single_task(10.0))},
                          *scheduler, {}, {});
@@ -320,7 +320,7 @@ TEST(SimFaults, ZeroFaultReplayMatchesTheStaticMakespanExactly) {
   instances.push_back(source->generate(1));
 
   for (const std::string& name : roster) {
-    const auto scheduler = make_scheduler(name);
+    const auto scheduler = SchedulerRegistry::instance().make(name, kDefaultSchedulerSeed);
     for (std::size_t i = 0; i < instances.size(); ++i) {
       const ProblemInstance& inst = instances[i];
       const Schedule planned = scheduler->schedule(inst);
@@ -347,7 +347,7 @@ TEST(SimFaults, ZeroFaultScenarioMatchesTheStaticSchedule) {
   const ProblemInstance inst = source->generate(0);
 
   for (const std::string name : {"HEFT", "MinMin"}) {
-    const auto scheduler = make_scheduler(name);
+    const auto scheduler = SchedulerRegistry::instance().make(name, kDefaultSchedulerSeed);
     const SimReport report = sim::simulate_scenario(scenario, *scheduler, seed);
     EXPECT_EQ(report.makespan, scheduler->schedule(inst).makespan()) << name;
     EXPECT_EQ(report.degradation.mean, 1.0) << name;
@@ -358,7 +358,7 @@ TEST(SimFaults, ZeroFaultScenarioMatchesTheStaticSchedule) {
 
 TEST(SimFaults, MalformedScriptsThrow) {
   const Network net(2);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const std::vector<SimJob> jobs = {job_at(0.0, single_task(1.0))};
 
   // Decreasing arrival times.
@@ -386,7 +386,7 @@ TEST(SimFaults, MalformedScriptsThrow) {
 // An empty job list is a valid (if dull) simulation.
 TEST(SimFaults, NoJobsProducesAnEmptyReport) {
   const Network net(1);
-  const auto scheduler = make_scheduler("HEFT");
+  const auto scheduler = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   const SimReport report = sim::simulate_jobs(net, {}, *scheduler, {}, {});
   EXPECT_EQ(report.jobs, 0u);
   EXPECT_EQ(report.makespan, 0.0);

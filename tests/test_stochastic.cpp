@@ -106,7 +106,8 @@ TEST(StochasticInstance, SettersValidateTopology) {
 }
 
 TEST(StochasticInstance, InfiniteStrengthStaysDeterministicUnderNoise) {
-  auto inst = datasets::generate_instance("blast", 1, 0);  // chameleon: inf links
+  auto inst =
+      datasets::DatasetRegistry::instance().make("blast", 1)->generate(0);  // chameleon: inf links
   StochasticInstance s(inst);
   s.apply_relative_noise(0.5);
   const auto realized = s.realize(3);
@@ -119,7 +120,8 @@ TEST(StochasticInstance, InfiniteStrengthStaysDeterministicUnderNoise) {
 
 TEST(Reexecute, IdenticalRealizationReproducesPlan) {
   const auto inst = fig1_instance();
-  const auto planned = make_scheduler("HEFT")->schedule(inst);
+  const auto planned =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   const auto replayed = reexecute(planned, inst);
   EXPECT_DOUBLE_EQ(replayed.makespan(), planned.makespan());
   for (TaskId t = 0; t < inst.graph.task_count(); ++t) {
@@ -129,7 +131,8 @@ TEST(Reexecute, IdenticalRealizationReproducesPlan) {
 
 TEST(Reexecute, KeepsAssignmentsUnderPerturbedCosts) {
   auto inst = fig1_instance();
-  const auto planned = make_scheduler("HEFT")->schedule(inst);
+  const auto planned =
+      SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed)->schedule(inst);
   inst.graph.set_cost(2, 4.4);  // t3 runs twice as long as planned
   const auto realized = reexecute(planned, inst);
   EXPECT_TRUE(realized.validate(inst).ok);
@@ -140,17 +143,19 @@ TEST(Reexecute, KeepsAssignmentsUnderPerturbedCosts) {
 }
 
 TEST(Robustness, ZeroNoiseHasUnitRegret) {
+  const auto& registry = SchedulerRegistry::instance();
   const StochasticInstance s(fig1_instance());
-  const auto report = evaluate_robustness(*make_scheduler("HEFT"), s, 10, 1);
+  const auto report = evaluate_robustness(*registry.make("HEFT", kDefaultSchedulerSeed), s, 10, 1);
   EXPECT_DOUBLE_EQ(report.realized.min, report.planned_makespan);
   EXPECT_DOUBLE_EQ(report.realized.max, report.planned_makespan);
   EXPECT_NEAR(report.regret.mean, 1.0, 1e-9);
 }
 
 TEST(Robustness, NoiseSpreadsRealizedMakespans) {
+  const auto& registry = SchedulerRegistry::instance();
   StochasticInstance s(fig1_instance());
   s.apply_relative_noise(0.3);
-  const auto report = evaluate_robustness(*make_scheduler("HEFT"), s, 50, 2);
+  const auto report = evaluate_robustness(*registry.make("HEFT", kDefaultSchedulerSeed), s, 50, 2);
   EXPECT_GT(report.realized.max, report.realized.min);
   EXPECT_EQ(report.realized.count, 50u);
   // Static plans can beat clairvoyant re-planning only by heuristic luck;
@@ -159,8 +164,10 @@ TEST(Robustness, NoiseSpreadsRealizedMakespans) {
 }
 
 TEST(Robustness, ReportsCarrySchedulerName) {
+  const auto& registry = SchedulerRegistry::instance();
   const StochasticInstance s(fig1_instance());
-  EXPECT_EQ(evaluate_robustness(*make_scheduler("CPoP"), s, 3, 1).scheduler, "CPoP");
+  EXPECT_EQ(evaluate_robustness(*registry.make("CPoP", kDefaultSchedulerSeed), s, 3, 1).scheduler,
+            "CPoP");
 }
 
 }  // namespace

@@ -151,16 +151,19 @@ ProblemInstance read_instance(const std::string& path) {
 int cmd_list(int argc, char** argv) {
   constexpr const char* kUsage = "usage: saga list [--tags [tag]] [--datasets [tag]]";
   if (argc == 0) {
+    const auto& schedulers = SchedulerRegistry::instance();
     std::printf("datasets (Table II):\n ");
-    for (const auto& spec : datasets::all_dataset_specs()) std::printf(" %s", spec.name.c_str());
+    for (const auto& name : datasets::DatasetRegistry::instance().names("table2")) {
+      std::printf(" %s", name.c_str());
+    }
     std::printf("\nextension datasets:\n ");
     for (const auto& desc : datasets::DatasetRegistry::instance().descriptors()) {
       if (!desc.has_tag("table2")) std::printf(" %s", desc.name.c_str());
     }
     std::printf("\nschedulers (Table I):\n ");
-    for (const auto& name : all_scheduler_names()) std::printf(" %s", name.c_str());
+    for (const auto& name : schedulers.names("table1")) std::printf(" %s", name.c_str());
     std::printf("\nextension schedulers:\n ");
-    for (const auto& name : extension_scheduler_names()) std::printf(" %s", name.c_str());
+    for (const auto& name : schedulers.names("extension")) std::printf(" %s", name.c_str());
     std::printf(
         "\n(`saga list --tags` enumerates schedulers by tag, `saga list --datasets` "
         "datasets)\n");
@@ -360,7 +363,7 @@ int cmd_generate(int argc, char** argv) {
   const std::string dataset = positional[0];
   const auto index = static_cast<std::size_t>(parse_u64(positional[1], "index"));
   const std::uint64_t seed = positional.size() > 2 ? parse_u64(positional[2], "seed") : 42;
-  const auto inst = datasets::generate_instance(dataset, seed, index);
+  const auto inst = datasets::DatasetRegistry::instance().make(dataset, seed)->generate(index);
   if (json) {
     std::cout << serve::instance_to_json(inst).dump(2) << "\n";
   } else {
@@ -390,7 +393,7 @@ int cmd_schedule(int argc, char** argv) {
   if (positional.size() != 2) throw UsageError(kUsage);
   // Resolve the scheduler spec before touching the instance stream, so a
   // misspelled name is diagnosed without consuming stdin.
-  const auto scheduler = make_scheduler(positional[0]);
+  const auto scheduler = SchedulerRegistry::instance().make(positional[0], kDefaultSchedulerSeed);
   const auto inst = read_instance(positional[1]);
 
   // One evaluation arena across all repeats — the PISA usage pattern — so
