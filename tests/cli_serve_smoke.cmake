@@ -14,6 +14,26 @@ foreach(var SAGA_CLI SAGA_PROBE WORK_DIR)
     message(FATAL_ERROR "pass -D${var}=...")
   endif()
 endforeach()
+
+# Fails the smoke, first stopping whichever daemon is running (SIGTERM,
+# then SIGKILL after 5 s) so that a failed run leaves no process behind.
+function(fail msg)
+  foreach(pid IN ITEMS ${DAEMON_PID} ${DAEMON2_PID})
+    execute_process(COMMAND kill -TERM ${pid} ERROR_QUIET OUTPUT_QUIET)
+    foreach(attempt RANGE 50)
+      execute_process(COMMAND kill -0 ${pid} RESULT_VARIABLE alive ERROR_QUIET OUTPUT_QUIET)
+      if(NOT alive EQUAL 0)
+        break()
+      endif()
+      execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.1)
+    endforeach()
+    if(alive EQUAL 0)
+      execute_process(COMMAND kill -KILL ${pid} ERROR_QUIET OUTPUT_QUIET)
+    endif()
+  endforeach()
+  message(FATAL_ERROR "${msg}")
+endfunction()
+
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 
@@ -23,7 +43,7 @@ function(saga_expect_success name)
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rv EQUAL 0)
-    message(FATAL_ERROR "step '${name}' failed (exit ${rv})\nstdout:\n${out}\nstderr:\n${err}")
+    fail("step '${name}' failed (exit ${rv})\nstdout:\n${out}\nstderr:\n${err}")
   endif()
   set(${name}_output "${out}" PARENT_SCOPE)
 endfunction()
@@ -44,7 +64,7 @@ function(probe name expect_rv method path body outfile)
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   if(NOT rv EQUAL ${expect_rv})
-    message(FATAL_ERROR "probe '${name}' exited ${rv}, expected ${expect_rv}\nstderr:\n${err}\nbody:\n${out}")
+    fail("probe '${name}' exited ${rv}, expected ${expect_rv}\nstderr:\n${err}\nbody:\n${out}")
   endif()
   if(outfile AND EXISTS ${outfile})
     file(READ ${outfile} out)
@@ -56,7 +76,7 @@ endfunction()
 function(expect_identical a b)
   execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${a} ${b} RESULT_VARIABLE rv)
   if(NOT rv EQUAL 0)
-    message(FATAL_ERROR "${a} and ${b} differ (expected byte-identical)")
+    fail("${a} and ${b} differ (expected byte-identical)")
   endif()
 endfunction()
 
@@ -87,7 +107,7 @@ execute_process(COMMAND sh -c
   "${SAGA_CLI} serve --port 0 --threads 4 --port-file ${PORT_FILE} >/dev/null 2>${LOG_FILE} & echo $! > ${PID_FILE}"
   RESULT_VARIABLE rv)
 if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "failed to launch saga serve")
+  fail("failed to launch saga serve")
 endif()
 file(READ ${PID_FILE} DAEMON_PID)
 string(STRIP "${DAEMON_PID}" DAEMON_PID)
@@ -106,28 +126,28 @@ foreach(attempt RANGE 100)
 endforeach()
 if(NOT PORT)
   file(READ ${LOG_FILE} log)
-  message(FATAL_ERROR "daemon never wrote its port file; log:\n${log}")
+  fail("daemon never wrote its port file; log:\n${log}")
 endif()
 
 # 3. Liveness, scheduling (inline instance and dataset spec), compare.
 probe(healthz 0 GET /healthz "" "")
 if(NOT healthz_body MATCHES "\"status\": \"ok\"")
-  message(FATAL_ERROR "unexpected /healthz body: ${healthz_body}")
+  fail("unexpected /healthz body: ${healthz_body}")
 endif()
 
 probe(schedule 0 POST /v1/schedule ${WORK_DIR}/schedule_req.json ${WORK_DIR}/resp_1.json)
 if(NOT schedule_body MATCHES "\"makespan\"")
-  message(FATAL_ERROR "/v1/schedule response has no makespan: ${schedule_body}")
+  fail("/v1/schedule response has no makespan: ${schedule_body}")
 endif()
 
 probe(schedule_ds 0 POST /v1/schedule ${WORK_DIR}/schedule_dataset_req.json "")
 if(NOT schedule_ds_body MATCHES "\"makespan\"")
-  message(FATAL_ERROR "dataset /v1/schedule response has no makespan: ${schedule_ds_body}")
+  fail("dataset /v1/schedule response has no makespan: ${schedule_ds_body}")
 endif()
 
 probe(compare 0 POST /v1/compare ${WORK_DIR}/compare_req.json "")
 if(NOT compare_body MATCHES "\"best\"")
-  message(FATAL_ERROR "/v1/compare response has no best row: ${compare_body}")
+  fail("/v1/compare response has no best row: ${compare_body}")
 endif()
 
 # 4. Determinism: the same request, repeated against the 4-thread daemon,
@@ -140,15 +160,15 @@ endforeach()
 # 5. Error contract: 4xx with did-you-mean diagnostics; the daemon stays up.
 probe(bad_scheduler 1 POST /v1/schedule ${WORK_DIR}/bad_scheduler_req.json "")
 if(NOT bad_scheduler_body MATCHES "did you mean")
-  message(FATAL_ERROR "unknown scheduler error lacks a suggestion: ${bad_scheduler_body}")
+  fail("unknown scheduler error lacks a suggestion: ${bad_scheduler_body}")
 endif()
 probe(malformed 1 POST /v1/schedule ${WORK_DIR}/malformed_req.json "")
 if(NOT malformed_body MATCHES "error")
-  message(FATAL_ERROR "malformed JSON got no error body: ${malformed_body}")
+  fail("malformed JSON got no error body: ${malformed_body}")
 endif()
 probe(lost 1 GET /v1/schedul "" "")
 if(NOT lost_body MATCHES "did you mean '/v1/schedule'")
-  message(FATAL_ERROR "404 lacks the nearest-path suggestion: ${lost_body}")
+  fail("404 lacks the nearest-path suggestion: ${lost_body}")
 endif()
 probe(still_up 0 GET /healthz "" "")
 
@@ -163,7 +183,7 @@ foreach(needle
     "saga_arena_reuse_total{kind=\"hit\"}"
     "saga_uptime_seconds")
   if(NOT metrics_body MATCHES "${needle}")
-    message(FATAL_ERROR "/metrics is missing '${needle}':\n${metrics_body}")
+    fail("/metrics is missing '${needle}':\n${metrics_body}")
   endif()
 endforeach()
 
@@ -180,7 +200,7 @@ execute_process(COMMAND sh -c
   "${SAGA_CLI} serve --port 0 --threads 1 --max-queue 1 --max-inflight 1 --port-file ${PORT_FILE2} >/dev/null 2>${LOG_FILE2} & echo $! > ${PID_FILE2}"
   RESULT_VARIABLE rv)
 if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "failed to launch the overload daemon")
+  fail("failed to launch the overload daemon")
 endif()
 file(READ ${PID_FILE2} DAEMON2_PID)
 string(STRIP "${DAEMON2_PID}" DAEMON2_PID)
@@ -197,7 +217,7 @@ foreach(attempt RANGE 100)
 endforeach()
 if(NOT PORT2)
   file(READ ${LOG_FILE2} log)
-  message(FATAL_ERROR "overload daemon never wrote its port file; log:\n${log}")
+  fail("overload daemon never wrote its port file; log:\n${log}")
 endif()
 
 # Six concurrent slow requests against one worker: the first occupies the
@@ -208,7 +228,7 @@ foreach(i RANGE 1 6)
     "( ${SAGA_PROBE} ${PORT2} POST /v1/schedule ${WORK_DIR}/slow_req.json -o ${WORK_DIR}/over_${i}.body ; echo $? > ${WORK_DIR}/over_${i}.rv ) > /dev/null 2>&1 &"
     RESULT_VARIABLE rv)
   if(NOT rv EQUAL 0)
-    message(FATAL_ERROR "failed to launch overload probe ${i}")
+    fail("failed to launch overload probe ${i}")
   endif()
 endforeach()
 
@@ -226,7 +246,7 @@ foreach(i RANGE 1 6)
     math(EXPR waited "${waited} + 1")
   endwhile()
   if(NOT EXISTS ${WORK_DIR}/over_${i}.rv)
-    message(FATAL_ERROR "overload probe ${i} never finished")
+    fail("overload probe ${i} never finished")
   endif()
 endforeach()
 
@@ -240,22 +260,22 @@ foreach(i RANGE 1 6)
   file(READ ${WORK_DIR}/over_${i}.body over_body)
   if(over_rv EQUAL 0)
     if(NOT over_body MATCHES "\"makespan\"")
-      message(FATAL_ERROR "overload probe ${i} succeeded without a makespan: ${over_body}")
+      fail("overload probe ${i} succeeded without a makespan: ${over_body}")
     endif()
   else()
     if(NOT over_body MATCHES "too many requests")
-      message(FATAL_ERROR "overload probe ${i} failed with a non-429 body: ${over_body}")
+      fail("overload probe ${i} failed with a non-429 body: ${over_body}")
     endif()
     math(EXPR shed_count "${shed_count} + 1")
     if(first_shed_body STREQUAL "")
       set(first_shed_body "${over_body}")
     elseif(NOT over_body STREQUAL first_shed_body)
-      message(FATAL_ERROR "shed bodies differ (expected deterministic 429):\n${first_shed_body}\nvs\n${over_body}")
+      fail("shed bodies differ (expected deterministic 429):\n${first_shed_body}\nvs\n${over_body}")
     endif()
   endif()
 endforeach()
 if(shed_count EQUAL 0)
-  message(FATAL_ERROR "overload run shed nothing; admission control never engaged")
+  fail("overload run shed nothing; admission control never engaged")
 endif()
 
 # Recovery: once the backlog drains, plain requests are admitted again and
@@ -264,26 +284,30 @@ probe(overload_recovered 0 POST /v1/schedule ${WORK_DIR}/schedule_dataset_req.js
 probe(overload_metrics_after 0 GET /metrics "" "")
 set(PORT ${PORT1})
 if(NOT overload_metrics_after_body MATCHES "saga_admission_shed_total [1-9]")
-  message(FATAL_ERROR "/metrics does not report the sheds:\n${overload_metrics_after_body}")
+  fail("/metrics does not report the sheds:\n${overload_metrics_after_body}")
 endif()
 
 execute_process(COMMAND kill -TERM ${DAEMON2_PID} RESULT_VARIABLE rv)
 if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "could not signal the overload daemon (pid ${DAEMON2_PID})")
+  fail("could not signal the overload daemon (pid ${DAEMON2_PID})")
 endif()
 foreach(attempt RANGE 100)
   execute_process(COMMAND kill -0 ${DAEMON2_PID}
     RESULT_VARIABLE rv ERROR_QUIET OUTPUT_QUIET)
   if(NOT rv EQUAL 0)
+    unset(DAEMON2_PID)
     break()
   endif()
   execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.1)
 endforeach()
+if(DAEMON2_PID)
+  fail("overload daemon did not exit within 10s of SIGTERM")
+endif()
 
 # 8. Graceful drain: SIGTERM, then the process exits and reports its tally.
 execute_process(COMMAND kill -TERM ${DAEMON_PID} RESULT_VARIABLE rv)
 if(NOT rv EQUAL 0)
-  message(FATAL_ERROR "could not signal the daemon (pid ${DAEMON_PID})")
+  fail("could not signal the daemon (pid ${DAEMON_PID})")
 endif()
 set(gone FALSE)
 foreach(attempt RANGE 100)
@@ -291,20 +315,20 @@ foreach(attempt RANGE 100)
     RESULT_VARIABLE rv ERROR_QUIET OUTPUT_QUIET)
   if(NOT rv EQUAL 0)
     set(gone TRUE)
+    unset(DAEMON_PID)
     break()
   endif()
   execute_process(COMMAND ${CMAKE_COMMAND} -E sleep 0.1)
 endforeach()
 if(NOT gone)
-  execute_process(COMMAND kill -9 ${DAEMON_PID} ERROR_QUIET OUTPUT_QUIET)
-  message(FATAL_ERROR "daemon did not exit within 10s of SIGTERM")
+  fail("daemon did not exit within 10s of SIGTERM")
 endif()
 file(READ ${LOG_FILE} log)
 if(NOT log MATCHES "saga serve: listening on 127.0.0.1:${PORT}")
-  message(FATAL_ERROR "daemon log lacks the listening banner:\n${log}")
+  fail("daemon log lacks the listening banner:\n${log}")
 endif()
 if(NOT log MATCHES "drained; served [0-9]+ request")
-  message(FATAL_ERROR "daemon log lacks the drain report:\n${log}")
+  fail("daemon log lacks the drain report:\n${log}")
 endif()
 
 message(STATUS "cli_serve_smoke: all steps passed")

@@ -3,7 +3,6 @@
 #include "core/annealer.hpp"
 #include "core/perturbation.hpp"
 #include "datasets/registry.hpp"
-#include "online/online.hpp"
 #include "sched/registry.hpp"
 
 /// Fuzz-style robustness suite: long random perturbation walks starting

@@ -2,18 +2,21 @@
 
 #include <cctype>
 #include <string>
+#include <utility>
 
+#include "common/hash.hpp"
 #include "core/annealer.hpp"
 #include "datasets/registry.hpp"
-#include "online/online.hpp"
+#include "sched/arena.hpp"
 #include "sched/registry.hpp"
+#include "sched/schedule_io.hpp"
 
-namespace saga::online {
+namespace saga {
 namespace {
 
-/// Parameterized over the policies' display names (OnlinePolicy::name(),
-/// e.g. "online-EFT"); the registry spells each one as `Online?policy=`
-/// plus the lowercased suffix.
+/// Parameterized over stable test labels ("online-EFT", ...); the
+/// registry spells each policy as `Online?policy=` plus the lowercased
+/// suffix.
 class OnlinePolicyValidity : public ::testing::TestWithParam<std::string> {
  protected:
   [[nodiscard]] SchedulerPtr scheduler(std::uint64_t seed) const {
@@ -73,6 +76,37 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, OnlinePolicyValidity,
                            return name;
                          });
 
+TEST(OnlineGolden, SchedulesMatchParentDigest) {
+  // Byte pins of every policy's schedules (one-shot and arena paths) over
+  // the Table II datasets and the PISA chain instances.
+  const std::pair<const char*, const char*> pinned[] = {
+      {"Online?policy=eft", "055b10abbcc0c649"},
+      {"Online?policy=rr", "1712aa44f038759e"},
+      {"Online?policy=fastest", "7e4a7ea392be2113"},
+      {"Online?policy=locality", "98bfa91dd574d5cf"},
+      {"Online?policy=random", "c5caf127c96b07cf"},
+      {"Online?policy=locality&tolerance=0", "a1c02aa1ba11de1f"},
+  };
+  const auto& datasets = datasets::DatasetRegistry::instance();
+  for (const auto& [spec, digest] : pinned) {
+    const auto online = SchedulerRegistry::instance().make(spec, 77);
+    TimelineArena arena;
+    std::string text;
+    for (const auto& name : datasets.names("table2")) {
+      const auto source = datasets.make(name, 3);
+      for (std::size_t i = 0; i < 6; ++i) {
+        const auto inst = source->generate(i);
+        text += schedule_to_string(online->schedule(inst));
+        text += schedule_to_string(online->schedule(inst, &arena));
+      }
+    }
+    for (std::uint64_t seed = 0; seed < 200; ++seed) {
+      text += schedule_to_string(online->schedule(pisa::random_chain_instance(seed), &arena));
+    }
+    EXPECT_EQ(hash_hex(fnv1a64(text)), digest) << spec;
+  }
+}
+
 TEST(OnlineRegistry, UnknownPolicyThrows) {
   EXPECT_THROW((void)SchedulerRegistry::instance().make("Online?policy=nope", 1),
                std::invalid_argument);
@@ -80,12 +114,12 @@ TEST(OnlineRegistry, UnknownPolicyThrows) {
 
 TEST(OnlineEft, NeverBeatenByOnlineRandomOnAverage) {
   double eft_total = 0.0, random_total = 0.0;
-  const auto eft = make_online_eft();
+  const auto& registry = SchedulerRegistry::instance();
+  const auto eft = registry.make("Online?policy=eft", kDefaultSchedulerSeed);
   for (std::uint64_t seed = 0; seed < 30; ++seed) {
     const auto inst = datasets::DatasetRegistry::instance().make("chains", seed)->generate(0);
-    eft_total += simulate_online(inst, *eft).makespan();
-    auto random = make_online_random(seed);
-    random_total += simulate_online(inst, *random).makespan();
+    eft_total += eft->schedule(inst).makespan();
+    random_total += registry.make("Online?policy=random", seed)->schedule(inst).makespan();
   }
   EXPECT_LE(eft_total, random_total);
 }
@@ -96,8 +130,8 @@ TEST(OnlineFastest, MatchesOfflineFastestNode) {
   // exactly as the offline FastestNode scheduler does.
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const auto inst = pisa::random_chain_instance(seed);
-    const auto policy = make_online_fastest();
-    EXPECT_DOUBLE_EQ(simulate_online(inst, *policy).makespan(),
+    const auto online = registry.make("Online?policy=fastest", kDefaultSchedulerSeed);
+    EXPECT_DOUBLE_EQ(online->schedule(inst).makespan(),
                      registry.make("FastestNode",
                                    kDefaultSchedulerSeed)->schedule(inst).makespan());
   }
@@ -119,8 +153,8 @@ TEST(OnlineEft, PriceOfNoLookaheadIsBounded) {
     }
     inst.network = Network(3);
     inst.network.set_speed(1, 2.0);
-    const auto policy = make_online_eft();
-    EXPECT_DOUBLE_EQ(simulate_online(inst, *policy).makespan(),
+    const auto online = registry.make("Online?policy=eft", kDefaultSchedulerSeed);
+    EXPECT_DOUBLE_EQ(online->schedule(inst).makespan(),
                      registry.make("MCT", kDefaultSchedulerSeed)->schedule(inst).makespan());
   }
 }
@@ -135,8 +169,9 @@ TEST(OnlineLocality, SticksToInputHomeWhenCommIsExpensive) {
   inst.network = Network(2);
   inst.network.set_speed(1, 1.1);  // marginally faster elsewhere
   inst.network.set_strength(0, 1, 0.01);
-  const auto policy = make_online_locality();
-  const Schedule s = simulate_online(inst, *policy);
+  const Schedule s = SchedulerRegistry::instance()
+                         .make("Online?policy=locality", kDefaultSchedulerSeed)
+                         ->schedule(inst);
   EXPECT_EQ(s.of_task(b).node, s.of_task(a).node);
 }
 
@@ -151,8 +186,9 @@ TEST(SimulateOnline, RevealsInArrivalOrder) {
   inst.graph.add_dependency(src, fast, 0.0);
   inst.graph.add_dependency(src, slow, 0.0);
   inst.network = Network(2);
-  const auto policy = make_online_round_robin();
-  const Schedule s = simulate_online(inst, *policy);
+  const Schedule s = SchedulerRegistry::instance()
+                         .make("Online?policy=rr", kDefaultSchedulerSeed)
+                         ->schedule(inst);
   EXPECT_EQ(s.of_task(src).node, 0u);
   EXPECT_TRUE(s.validate(inst).ok);
 }
@@ -161,15 +197,16 @@ TEST(OnlineVsOffline, LookaheadHasMeasurableValue) {
   // Across a dataset, offline HEFT should beat online EFT on average —
   // quantifying the price of online-ness.
   double online_total = 0.0, offline_total = 0.0;
-  const auto policy = make_online_eft();
+  const auto online =
+      SchedulerRegistry::instance().make("Online?policy=eft", kDefaultSchedulerSeed);
   const auto heft = SchedulerRegistry::instance().make("HEFT", kDefaultSchedulerSeed);
   for (std::size_t i = 0; i < 30; ++i) {
     const auto inst = datasets::DatasetRegistry::instance().make("montage", 11)->generate(i % 4);
-    online_total += simulate_online(inst, *policy).makespan();
+    online_total += online->schedule(inst).makespan();
     offline_total += heft->schedule(inst).makespan();
   }
   EXPECT_GE(online_total, offline_total * 0.99);
 }
 
 }  // namespace
-}  // namespace saga::online
+}  // namespace saga

@@ -92,8 +92,9 @@ TEST(SchedulerParams, TypedConversionErrorsNameSchedulerAndKey) {
 }
 
 TEST(SchedulerParams, OutOfRangeValuesAreRejectedNamingTheKey) {
-  // Each of these used to crash (empty WBA band, empty GA population) or
-  // hang (a cooling loop or binary search that never terminates).
+  // Each of these used to crash (empty WBA band, empty GA population),
+  // hang (a cooling loop or binary search that never terminates), or run
+  // with a value the parameter's help rules out (Online's tolerance).
   const std::pair<const char*, const char*> rejected[] = {
       {"WBA?tolerance=-1", "'tolerance'"},  {"WBA?tolerance=nan", "'tolerance'"},
       {"WBA?tolerance=1.5", "'tolerance'"}, {"WBA?tolerance=inf", "'tolerance'"},
@@ -102,6 +103,8 @@ TEST(SchedulerParams, OutOfRangeValuesAreRejectedNamingTheKey) {
       {"SimAnneal?tmin=-1", "'tmin'"},      {"SimAnneal?tmax=inf", "'tmax'"},
       {"SMT?epsilon=-1", "'epsilon'"},      {"SMT?epsilon=0", "'epsilon'"},
       {"SMT?epsilon=nan", "'epsilon'"},
+      {"Online?policy=locality&tolerance=-1", "'tolerance'"},
+      {"Online?policy=locality&tolerance=nan", "'tolerance'"},
   };
   for (const auto& [spec, key] : rejected) {
     try {
@@ -112,7 +115,8 @@ TEST(SchedulerParams, OutOfRangeValuesAreRejectedNamingTheKey) {
     }
   }
   for (const char* spec : {"WBA?tolerance=0", "WBA?tolerance=1", "GA?pop=1",
-                           "SimAnneal?alpha=0.5&tmin=0.1", "SMT?epsilon=0.5"}) {
+                           "SimAnneal?alpha=0.5&tmin=0.1", "SMT?epsilon=0.5",
+                           "Online?policy=locality&tolerance=0"}) {
     EXPECT_NO_THROW((void)SchedulerRegistry::instance().make(spec, 1)) << spec;
   }
 }
