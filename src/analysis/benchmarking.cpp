@@ -60,7 +60,7 @@ DatasetBenchmark benchmark_source(const saga::datasets::InstanceSource& source,
     for (std::size_t s = 0; s < n_schedulers; ++s) {
       const auto scheduler =
           registry.make(scheduler_names[s], saga::derive_seed(seed, {0xbe5cULL, s, i}));
-      makespans[s][i] = scheduler->schedule(inst, &arena).makespan();
+      makespans[s][i] = scheduler->plan_makespan(inst, &arena);
     }
   });
 

@@ -334,7 +334,7 @@ Json execute_cell(const ExperimentSpec& spec, const CellPlan& plan, const WorkCe
       for (std::size_t s = 0; s < plan.roster.size(); ++s) {
         const auto scheduler = SchedulerRegistry::instance().make(
             plan.roster[s], derive_seed(spec.seed, {0xbe5cULL, s, cell.instance}));
-        makespans.push_back(encode_double(scheduler->schedule(inst, &arena).makespan()));
+        makespans.push_back(encode_double(scheduler->plan_makespan(inst, &arena)));
       }
       payload.set("makespans", Json::array(std::move(makespans)));
       break;

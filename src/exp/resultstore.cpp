@@ -1,14 +1,19 @@
 #include "exp/resultstore.hpp"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "analysis/benchmarking.hpp"
@@ -24,9 +29,9 @@ namespace {
 
 constexpr int kRecordVersion = 1;
 
-std::string cell_file_name(std::size_t index) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "c%08zu.jsonl", index);
+std::string segment_file_name(long pid, unsigned sequence) {
+  char buffer[48];
+  std::snprintf(buffer, sizeof buffer, "s%ld-%u.jsonl", pid, sequence);
   return buffer;
 }
 
@@ -40,9 +45,9 @@ std::string read_file(const fs::path& path) {
 
 /// Writes `content` to `path` via a sibling temp file + atomic rename, so
 /// readers never observe a half-written file under the final name. The temp
-/// name is unique per process and call: two writers racing on the same
-/// target (e.g. two --resume runs sharing a store) cannot tear each other's
-/// temp file — last rename wins with a complete file either way.
+/// name is unique per process and call: two runs initializing one store
+/// cannot tear each other's temp file — last rename wins with a complete
+/// file either way.
 void write_file_atomic(const fs::path& path, const std::string& content) {
   static std::atomic<unsigned long> sequence{0};
   const fs::path tmp = path.string() + ".tmp." + std::to_string(::getpid()) + "." +
@@ -73,10 +78,59 @@ std::size_t to_index(const Json& json, const std::string& context) {
   return static_cast<std::size_t>(value);
 }
 
+/// Decodes one parsed record line and cross-checks it against the plan.
+CellRecord decode_record(const Json& record, const std::string& context, const CellPlan& plan,
+                         const std::string& expected_hash) {
+  if (to_index(require_field(record, "v", context), context + " 'v'") !=
+      static_cast<std::size_t>(kRecordVersion)) {
+    throw std::runtime_error(context + " has an unsupported version");
+  }
+  CellRecord cell;
+  cell.spec_hash = require_field(record, "spec", context).as_string();
+  if (cell.spec_hash != expected_hash) {
+    throw std::runtime_error(context + " belongs to a different experiment (spec hash " +
+                             cell.spec_hash + ", expected " + expected_hash + ")");
+  }
+  cell.index = to_index(require_field(record, "cell", context), context + " 'cell'");
+  if (cell.index >= plan.cells.size()) {
+    throw std::runtime_error(context + " names cell " + std::to_string(cell.index) +
+                             " but the experiment has only " +
+                             std::to_string(plan.cells.size()) + " cells");
+  }
+  cell.key = require_field(record, "key", context).as_string();
+  if (cell.key != plan.cells[cell.index].key) {
+    throw std::runtime_error(context + " key '" + cell.key + "' does not match cell " +
+                             std::to_string(cell.index) + " ('" +
+                             plan.cells[cell.index].key + "')");
+  }
+  if (const Json* seed = record.find("seed")) {
+    cell.seed = static_cast<std::uint64_t>(to_index(*seed, context + " 'seed'"));
+  }
+  if (const Json* wall = record.find("wall_ms")) cell.wall_ms = wall->as_number();
+  cell.payload = require_field(record, "payload", context);
+  return cell;
+}
+
+/// Writes all of `data` to `fd`, looping on partial writes and EINTR.
+void write_all(int fd, std::string_view data, const fs::path& path) {
+  while (!data.empty()) {
+    const ssize_t written = ::write(fd, data.data(), data.size());
+    if (written < 0) {
+      if (errno == EINTR) continue;
+      throw std::system_error(errno, std::generic_category(), "cannot append to " + path.string());
+    }
+    data.remove_prefix(static_cast<std::size_t>(written));
+  }
+}
+
 }  // namespace
 
 ResultStore::ResultStore(fs::path dir)
     : dir_(std::move(dir)), cells_dir_(dir_ / "cells") {}
+
+ResultStore::~ResultStore() {
+  if (segment_fd_ >= 0) ::close(segment_fd_);
+}
 
 void ResultStore::initialize(const ExperimentSpec& frozen, const std::string& spec_hash) {
   fs::create_directories(cells_dir_);
@@ -111,58 +165,48 @@ ResultStore::Scan ResultStore::scan(const CellPlan& plan,
                                     const std::string& expected_hash) const {
   Scan result;
   if (!fs::exists(cells_dir_)) return result;
+  std::vector<fs::path> segments;
   for (const auto& entry : fs::directory_iterator(cells_dir_)) {
-    if (!entry.is_regular_file()) continue;
-    const fs::path& path = entry.path();
-    if (path.extension() != ".jsonl") continue;  // .tmp leftovers, editor junk
+    // Skip .tmp leftovers of the older per-cell layout and editor junk.
+    if (entry.is_regular_file() && entry.path().extension() == ".jsonl") {
+      segments.push_back(entry.path());
+    }
+  }
+  std::sort(segments.begin(), segments.end());
 
+  for (const fs::path& path : segments) {
     const std::string content = read_file(path);
-    Json record;
-    // A record is exactly one newline-terminated JSON line; anything
-    // truncated mid-write fails one of these checks and is torn, not fatal.
-    if (content.empty() || content.back() != '\n') {
-      result.torn.push_back(path);
-      continue;
-    }
-    try {
-      record = Json::parse(content);
-    } catch (const std::exception&) {
-      result.torn.push_back(path);
-      continue;
-    }
+    std::size_t line_number = 0;
+    for (std::size_t begin = 0; begin < content.size();) {
+      ++line_number;
+      const std::size_t end = content.find('\n', begin);
+      // A record is one newline-terminated JSON line, parsed on its own;
+      // a final fragment without its newline, or any line that does not
+      // parse, was torn mid-write and is reported, not fatal.
+      if (end == std::string::npos) {
+        result.torn.push_back(path);
+        break;
+      }
+      const std::string_view line(content.data() + begin, end - begin);
+      begin = end + 1;
+      Json parsed;
+      try {
+        parsed = Json::parse(line);
+      } catch (const std::exception&) {
+        result.torn.push_back(path);
+        continue;
+      }
 
-    const std::string context = "record " + path.string();
-    if (to_index(require_field(record, "v", context), context + " 'v'") !=
-        static_cast<std::size_t>(kRecordVersion)) {
-      throw std::runtime_error(context + " has an unsupported version");
-    }
-    CellRecord cell;
-    cell.spec_hash = require_field(record, "spec", context).as_string();
-    if (cell.spec_hash != expected_hash) {
-      throw std::runtime_error(context + " belongs to a different experiment (spec hash " +
-                               cell.spec_hash + ", expected " + expected_hash + ")");
-    }
-    cell.index = to_index(require_field(record, "cell", context), context + " 'cell'");
-    if (cell.index >= plan.cells.size()) {
-      throw std::runtime_error(context + " names cell " + std::to_string(cell.index) +
-                               " but the experiment has only " +
-                               std::to_string(plan.cells.size()) + " cells");
-    }
-    cell.key = require_field(record, "key", context).as_string();
-    if (cell.key != plan.cells[cell.index].key) {
-      throw std::runtime_error(context + " key '" + cell.key + "' does not match cell " +
-                               std::to_string(cell.index) + " ('" +
-                               plan.cells[cell.index].key + "')");
-    }
-    if (const Json* seed = record.find("seed")) {
-      cell.seed = static_cast<std::uint64_t>(to_index(*seed, context + " 'seed'"));
-    }
-    if (const Json* wall = record.find("wall_ms")) cell.wall_ms = wall->as_number();
-    cell.payload = require_field(record, "payload", context);
-    const std::size_t index = cell.index;
-    if (!result.records.emplace(index, std::move(cell)).second) {
-      throw std::runtime_error(context + " duplicates cell " + std::to_string(index) +
-                               " within the same store");
+      const std::string context = "record " + path.string() + ":" + std::to_string(line_number);
+      CellRecord cell = decode_record(parsed, context, plan, expected_hash);
+      const auto seen = result.records.find(cell.index);
+      if (seen == result.records.end()) {
+        const std::size_t index = cell.index;
+        result.records.emplace(index, std::move(cell));
+      } else if (seen->second.payload.dump() != cell.payload.dump()) {
+        throw std::runtime_error(context + " repeats cell " + cell.key +
+                                 " with a different payload; refusing conflicting records");
+      }  // an identical duplicate (two runs resuming one store): keep the first
     }
   }
   return result;
@@ -177,7 +221,33 @@ void ResultStore::write_cell(const CellRecord& record) const {
   line.set("seed", Json::number(static_cast<double>(record.seed)));
   line.set("wall_ms", encode_double(record.wall_ms));
   line.set("payload", record.payload);
-  write_file_atomic(cells_dir_ / cell_file_name(record.index), line.dump() + "\n");
+  std::string text = line.dump();
+  text.push_back('\n');
+
+  const std::lock_guard<std::mutex> lock(segment_mutex_);
+  if (segment_fd_ < 0) {
+    // A fresh segment per object: appending to an existing one could glue
+    // this record onto a torn tail left by a crashed run.
+    for (unsigned sequence = 0; segment_fd_ < 0;) {
+      segment_path_ = cells_dir_ / segment_file_name(static_cast<long>(::getpid()), sequence);
+      segment_fd_ =
+          ::open(segment_path_.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_APPEND | O_CLOEXEC, 0644);
+      if (segment_fd_ < 0 && errno == EEXIST) {
+        ++sequence;
+      } else if (segment_fd_ < 0 && errno != EINTR) {
+        throw std::system_error(errno, std::generic_category(),
+                                "cannot create " + segment_path_.string());
+      }
+    }
+  }
+  try {
+    write_all(segment_fd_, text, segment_path_);
+  } catch (...) {
+    // The segment may now end in a torn fragment: never append after it.
+    ::close(segment_fd_);
+    segment_fd_ = -1;
+    throw;
+  }
 }
 
 Json encode_double(double value) {

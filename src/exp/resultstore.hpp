@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -18,18 +19,25 @@
 ///   <dir>/spec.json                  the frozen experiment spec (dataset
 ///                                    counts pinned) — itself a runnable
 ///                                    `saga run` input
-///   <dir>/cells/c<index>.jsonl       one self-describing JSONL record per
+///   <dir>/cells/s<pid>-<n>.jsonl     one append-only segment per run: one
+///                                    self-describing JSONL record per
 ///                                    completed cell, e.g.
 ///     {"v": 1, "spec": "<16-hex hash>", "cell": 7, "key": "bench:0:blast[7]",
 ///      "seed": 42, "wall_ms": 3.25, "payload": {...}}
 ///
-/// Records are written to a temp file and atomically renamed into place, so
-/// a crash never leaves a half-written record under its final name; a
-/// truncated (torn) record — however it got that way — fails to parse and
-/// is discarded on scan, and `--resume` re-runs just that cell. Merging
-/// recombines any complete shard decomposition into the exact artifacts the
-/// monolithic run emits, refusing loudly on missing cells, torn records,
-/// spec-hash mismatches, or conflicting duplicates.
+/// Each ResultStore object creates its own segment (exclusively, on its
+/// first write) and appends each record with one write() of the whole
+/// line; it never appends to a segment it did not create. Scan reads every
+/// `*.jsonl` under `cells/` line by line, so a store written by the older
+/// one-file-per-cell layout (`c<index>.jsonl`) reads the same way: each of
+/// its files is a segment with one line. A line that fails to parse, or a
+/// final fragment with no newline, is torn: it is reported, never rewritten
+/// (another run may still be appending), and `--resume` re-runs its cell
+/// unless a valid record elsewhere covers it. Two records for one cell are
+/// fine when their payloads match (the first wins) and throw when they
+/// differ. Merging recombines any complete shard decomposition into the
+/// exact artifacts the monolithic run emits, refusing loudly on missing
+/// cells, torn records, spec-hash mismatches, or conflicting duplicates.
 
 namespace saga::exp {
 
@@ -46,6 +54,9 @@ struct CellRecord {
 class ResultStore {
  public:
   explicit ResultStore(std::filesystem::path dir);
+  ~ResultStore();
+  ResultStore(const ResultStore&) = delete;
+  ResultStore& operator=(const ResultStore&) = delete;
 
   [[nodiscard]] const std::filesystem::path& dir() const noexcept { return dir_; }
 
@@ -59,21 +70,25 @@ class ResultStore {
 
   struct Scan {
     std::map<std::size_t, CellRecord> records;  // valid records by cell index
-    std::vector<std::filesystem::path> torn;    // truncated/unparsable records
+    std::vector<std::filesystem::path> torn;    // segment of each torn line
   };
 
-  /// Reads every cell record. Torn records are collected, not thrown;
-  /// well-formed records from a different experiment (hash or key mismatch)
-  /// throw.
+  /// Reads every cell record, visiting segments in sorted path order. Torn
+  /// lines are collected, not thrown; well-formed records from a different
+  /// experiment (hash or key mismatch) and duplicates of one cell with
+  /// differing payloads throw.
   [[nodiscard]] Scan scan(const CellPlan& plan, const std::string& expected_hash) const;
 
-  /// Persists one record via write-to-temp + atomic rename. Safe to call
-  /// concurrently for distinct cells.
+  /// Appends one record to this object's segment, creating the segment on
+  /// the first call. Safe to call concurrently.
   void write_cell(const CellRecord& record) const;
 
  private:
   std::filesystem::path dir_;
   std::filesystem::path cells_dir_;
+  mutable std::mutex segment_mutex_;
+  mutable int segment_fd_ = -1;  // guarded by segment_mutex_; -1 until the first write
+  mutable std::filesystem::path segment_path_;
 };
 
 /// Payload-safe double encoding: finite values are JSON numbers (shortest

@@ -76,13 +76,16 @@ saga_expect_success(merge merge
 expect_identical(${WORK_DIR}/mono.csv ${WORK_DIR}/merged.csv)
 expect_identical(${WORK_DIR}/mono.json ${WORK_DIR}/merged.json)
 
-# 4. Crash recovery: tear the trailing bytes off one record, then --resume
-# re-runs only that cell and converges to the same artifacts.
+# 4. Crash recovery: tear the trailing bytes off the run's segment (its last
+# record), then --resume re-runs only that cell and converges to the same
+# artifacts.
 saga_expect_success(full run ${spec} --out ${WORK_DIR}/full)
-set(victim ${WORK_DIR}/full/cells/c00000003.jsonl)
-if(NOT EXISTS ${victim})
-  message(FATAL_ERROR "expected cell record ${victim} is missing")
+file(GLOB segments ${WORK_DIR}/full/cells/*.jsonl)
+list(LENGTH segments segment_count)
+if(NOT segment_count EQUAL 1)
+  message(FATAL_ERROR "expected one segment under ${WORK_DIR}/full/cells, found: ${segments}")
 endif()
+list(GET segments 0 victim)
 file(READ ${victim} record)
 string(LENGTH "${record}" record_len)
 math(EXPR torn_len "${record_len} - 9")

@@ -1,7 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "analysis/benchmarking.hpp"
+#include "common/rng.hpp"
 #include "datasets/registry.hpp"
+#include "exp/cells.hpp"
+#include "sched/arena.hpp"
+#include "sched/registry.hpp"
 
 namespace saga::analysis {
 namespace {
@@ -71,6 +78,44 @@ TEST(Benchmarking, OlbNeverBeatsItsBetters) {
   const auto result = benchmark_source(chains(), "chains", 20, {"HEFT", "OLB"}, 2);
   EXPECT_GE(result.for_scheduler("OLB").summary.max,
             result.for_scheduler("HEFT").summary.max);
+}
+
+TEST(Benchmarking, PlanMakespanMatchesScheduleOnBenchGridFamilies) {
+  // Benchmark cells record plan_makespan; it must equal
+  // schedule().makespan() bit for bit for every @benchmark scheduler, with
+  // the per-cell seeds the cell executor derives, through a warm arena and
+  // one-shot. The datasets mirror perfbench's bench_grid spec.
+  exp::ExperimentSpec spec;
+  spec.mode = exp::Mode::kBenchmark;
+  spec.schedulers = {"@benchmark"};
+  spec.datasets = {{"montage?n=30", 4},
+                   {"srasearch?n=40", 4},
+                   {"out_trees?levels=5&branch=3", 4},
+                   {"chains?chains=8&length=12", 4},
+                   {"erdos?n=80", 4},
+                   {"etl", 4},
+                   {"predict", 4}};
+  const auto& registry = SchedulerRegistry::instance();
+  const auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
+  TimelineArena arena;
+  for (const std::uint64_t seed : {1ULL, 42ULL}) {
+    spec.seed = seed;
+    const exp::CellPlan plan = exp::enumerate_cells(spec);
+    ASSERT_EQ(plan.roster.size(), 15u);
+    for (const exp::WorkCell& cell : plan.cells) {
+      const ProblemInstance inst = plan.sources[cell.dataset]->generate(cell.instance);
+      for (std::size_t s = 0; s < plan.roster.size(); ++s) {
+        const auto scheduler =
+            registry.make(plan.roster[s], derive_seed(seed, {0xbe5cULL, s, cell.instance}));
+        EXPECT_EQ(bits(scheduler->plan_makespan(inst, &arena)),
+                  bits(scheduler->schedule(inst, &arena).makespan()))
+            << plan.roster[s] << " on " << cell.key << ", warm arena";
+        EXPECT_EQ(bits(scheduler->plan_makespan(inst, nullptr)),
+                  bits(scheduler->schedule(inst, nullptr).makespan()))
+            << plan.roster[s] << " on " << cell.key << ", one-shot";
+      }
+    }
+  }
 }
 
 }  // namespace

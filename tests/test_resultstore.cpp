@@ -6,15 +6,20 @@
 //
 // byte for byte across the CSV and JSON artifacts, for every shard count
 // 1..4. Plus: crash recovery from a torn JSONL record, loud merge failures
-// (missing cells, spec-hash mismatch, conflicting duplicates), and the
-// regression test for `threads` being silently ignored in schedule mode.
+// (missing cells, spec-hash mismatch, conflicting duplicates), the segment
+// layout (one file per run, legacy per-cell stores, concurrent writers),
+// and the regression test for `threads` being silently ignored in schedule
+// mode.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
@@ -46,6 +51,21 @@ std::string slurp(const fs::path& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
+}
+
+/// Every file under `<store>/cells`, sorted.
+std::vector<fs::path> cell_files(const fs::path& store) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(store / "cells")) files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+/// The store's single segment (empty path, with a failure, otherwise).
+fs::path only_segment(const fs::path& store) {
+  const auto files = cell_files(store);
+  EXPECT_EQ(files.size(), 1u) << "expected exactly one segment in " << store;
+  return files.size() == 1 ? files.front() : fs::path();
 }
 
 /// fig02-tiny shaped: two small datasets, three schedulers.
@@ -202,8 +222,8 @@ TEST(ResultStoreCrashRecovery, TornRecordIsDetectedAndOnlyThatCellReRuns) {
     std::ostringstream sink;
     (void)exp::run_experiment(benchmark_spec(), sink, options);
   }
-  // Tear the record for cell 2 mid-write: drop its trailing bytes.
-  const fs::path victim = store_dir / "cells" / "c00000002.jsonl";
+  // Tear the segment's last record mid-write: drop its trailing bytes.
+  const fs::path victim = only_segment(store_dir);
   ASSERT_TRUE(fs::exists(victim));
   fs::resize_file(victim, fs::file_size(victim) - 9);
 
@@ -225,6 +245,36 @@ TEST(ResultStoreCrashRecovery, TornRecordIsDetectedAndOnlyThatCellReRuns) {
   EXPECT_EQ(merged.json, golden.json);
 }
 
+TEST(ResultStoreCrashRecovery, TornTailStaysOnDiskAndStaysHarmless) {
+  const fs::path dir = scratch("torn_twice");
+  const Artifacts golden = run_monolithic(benchmark_spec(), dir / "mono");
+  const fs::path store_dir = dir / "store";
+  RunOptions options;
+  options.out_dir = store_dir.string();
+  std::ostringstream sink;
+  (void)exp::run_experiment(benchmark_spec(), sink, options);
+  const fs::path victim = only_segment(store_dir);
+  ASSERT_FALSE(victim.empty());
+  fs::resize_file(victim, fs::file_size(victim) - 9);
+  const auto torn_size = fs::file_size(victim);
+
+  options.resume = true;
+  const auto first = exp::run_experiment(benchmark_spec(), sink, options);
+  EXPECT_EQ(first.stats.executed, 1u);
+  EXPECT_EQ(cell_files(store_dir).size(), 2u) << "the re-run cell goes to a fresh segment";
+  const auto second = exp::run_experiment(benchmark_spec(), sink, options);
+  EXPECT_EQ(second.stats.executed, 0u);
+  EXPECT_EQ(second.stats.reused, second.stats.total_cells);
+  EXPECT_EQ(cell_files(store_dir).size(), 2u) << "a run that writes no cell makes no segment";
+
+  // Scans never rewrite a segment: the torn tail is still there, and merge
+  // accepts it because another segment covers its cell.
+  EXPECT_EQ(fs::file_size(victim), torn_size);
+  const Artifacts merged = merge_to_artifacts({store_dir}, dir);
+  EXPECT_EQ(merged.csv, golden.csv);
+  EXPECT_EQ(merged.json, golden.json);
+}
+
 TEST(ResultStoreMerge, FailsLoudlyOnMissingCellsAndTornRecords) {
   const fs::path dir = scratch("missing");
   const auto stores = run_shards(benchmark_spec(), dir, 3);
@@ -239,7 +289,7 @@ TEST(ResultStoreMerge, FailsLoudlyOnMissingCellsAndTornRecords) {
 
   // A torn record whose cell no other store covers counts as missing and is
   // called out by path.
-  const fs::path victim = stores[0] / "cells" / "c00000000.jsonl";
+  const fs::path victim = only_segment(stores[0]);
   ASSERT_TRUE(fs::exists(victim));
   fs::resize_file(victim, fs::file_size(victim) - 5);
   try {
@@ -290,6 +340,125 @@ TEST(ResultStoreMerge, RefusesSpecHashMismatchesAndConflictingDuplicates) {
     EXPECT_NE(std::string(e.what()).find("differs between stores"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(ResultStoreSegments, OneRunWritesExactlyOneFile) {
+  const fs::path dir = scratch("one_segment");
+  RunOptions options;
+  options.out_dir = (dir / "store").string();
+  std::ostringstream sink;
+  const auto result = exp::run_experiment(benchmark_spec(), sink, options);
+  ASSERT_GT(result.stats.executed, 1u);
+  EXPECT_EQ(cell_files(dir / "store").size(), 1u);
+}
+
+TEST(ResultStoreSegments, LegacyPerCellStoreScansResumesAndMerges) {
+  // The older layout wrote one `c<index>.jsonl` file per record. Rebuild a
+  // store that way by hand from a segment-layout run's record lines.
+  const fs::path dir = scratch("legacy");
+  const Artifacts golden = run_monolithic(benchmark_spec(), dir / "mono");
+  RunOptions options;
+  options.out_dir = (dir / "segmented").string();
+  std::ostringstream sink;
+  (void)exp::run_experiment(benchmark_spec(), sink, options);
+
+  const fs::path legacy = dir / "legacy";
+  fs::create_directories(legacy / "cells");
+  fs::copy_file(dir / "segmented" / "spec.json", legacy / "spec.json");
+  std::istringstream lines(slurp(only_segment(dir / "segmented")));
+  std::size_t written = 0;
+  for (std::string line; std::getline(lines, line); ++written) {
+    const auto index =
+        static_cast<std::size_t>(exp::Json::parse(line).find("cell")->as_number());
+    char name[32];
+    std::snprintf(name, sizeof name, "c%08zu.jsonl", index);
+    std::ofstream(legacy / "cells" / name, std::ios::binary) << line << '\n';
+  }
+
+  const ExperimentSpec spec = benchmark_spec();
+  const CellPlan plan = exp::enumerate_cells(spec);
+  ASSERT_EQ(written, plan.cells.size());
+  const auto scan = ResultStore(legacy).scan(plan, exp::plan_hash_hex(spec, plan));
+  EXPECT_EQ(scan.records.size(), plan.cells.size());
+  EXPECT_TRUE(scan.torn.empty());
+
+  const Artifacts merged = merge_to_artifacts({legacy}, dir / "merged");
+  EXPECT_EQ(merged.csv, golden.csv);
+  EXPECT_EQ(merged.json, golden.json);
+
+  // Drop two legacy records; --resume re-runs exactly those into a segment
+  // beside the remaining per-cell files.
+  fs::remove(legacy / "cells" / "c00000001.jsonl");
+  fs::remove(legacy / "cells" / "c00000004.jsonl");
+  ExperimentSpec resumed = benchmark_spec();
+  resumed.csv = (dir / "resumed.csv").string();
+  resumed.json = (dir / "resumed.json").string();
+  options.out_dir = legacy.string();
+  options.resume = true;
+  const auto result = exp::run_experiment(resumed, sink, options);
+  EXPECT_EQ(result.stats.executed, 2u);
+  EXPECT_EQ(result.stats.reused, plan.cells.size() - 2);
+  EXPECT_EQ(slurp(dir / "resumed.csv"), golden.csv);
+  EXPECT_EQ(slurp(dir / "resumed.json"), golden.json);
+  EXPECT_EQ(cell_files(legacy).size(), plan.cells.size() - 2 + 1);
+}
+
+TEST(ResultStoreSegments, ConcurrentWritersKeepIdenticalDuplicatesAndRefuseConflicts) {
+  const fs::path dir = scratch("concurrent");
+  const ExperimentSpec spec = benchmark_spec();
+  const CellPlan plan = exp::enumerate_cells(spec);
+  const std::string hash = exp::plan_hash_hex(spec, plan);
+  RunOptions options;
+  options.out_dir = (dir / "source").string();
+  std::ostringstream sink;
+  (void)exp::run_experiment(spec, sink, options);
+  const auto source = ResultStore(dir / "source").scan(plan, hash);
+  ASSERT_EQ(source.records.size(), plan.cells.size());
+
+  // Two runs sharing one store: writer a takes cells [0, 4), writer b
+  // takes [2, end), so cells 2 and 3 are written twice.
+  const fs::path shared = dir / "shared";
+  {
+    ResultStore a(shared);
+    ResultStore b(shared);
+    a.initialize(exp::frozen_spec(spec, plan), hash);
+    b.initialize(exp::frozen_spec(spec, plan), hash);
+    std::thread first([&] {
+      for (std::size_t c = 0; c < 4; ++c) a.write_cell(source.records.at(c));
+    });
+    std::thread second([&] {
+      for (std::size_t c = 2; c < plan.cells.size(); ++c) b.write_cell(source.records.at(c));
+    });
+    first.join();
+    second.join();
+  }
+  EXPECT_EQ(cell_files(shared).size(), 2u);
+  const auto scan = ResultStore(shared).scan(plan, hash);
+  EXPECT_TRUE(scan.torn.empty());
+  ASSERT_EQ(scan.records.size(), plan.cells.size());
+  for (const auto& [index, record] : scan.records) {
+    EXPECT_EQ(record.payload.dump(), source.records.at(index).payload.dump()) << index;
+  }
+  const Artifacts golden = merge_to_artifacts({dir / "source"}, dir / "golden");
+  const Artifacts merged = merge_to_artifacts({shared}, dir / "merged");
+  EXPECT_EQ(merged.csv, golden.csv);
+  EXPECT_EQ(merged.json, golden.json);
+
+  // A third writer appends a tampered duplicate of cell 3: the store now
+  // disagrees with itself, and scan refuses, naming the cell.
+  auto tampered = source.records.at(3);
+  tampered.payload.set("makespans", exp::Json::array({exp::Json::number(1.0),
+                                                      exp::Json::number(2.0),
+                                                      exp::Json::number(3.0)}));
+  ResultStore(shared).write_cell(tampered);
+  EXPECT_EQ(cell_files(shared).size(), 3u);
+  try {
+    (void)ResultStore(shared).scan(plan, hash);
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(plan.cells[3].key), std::string::npos) << e.what();
+  }
+  EXPECT_THROW((void)exp::merge_stores({shared}), std::runtime_error);
 }
 
 TEST(ResultStore, RefusesToResumeADifferentExperiment) {

@@ -291,14 +291,12 @@ TEST(SimDeterminism, InterruptedRunResumesToTheMonolithicArtifacts) {
 std::map<std::size_t, std::string> payloads_of(const std::vector<fs::path>& stores) {
   std::map<std::size_t, std::string> payloads;
   for (const fs::path& store : stores) {
-    const fs::path cells = store / "cells";
-    if (!fs::exists(cells)) continue;
-    for (const auto& entry : fs::directory_iterator(cells)) {
-      const exp::Json record = exp::Json::parse(slurp(entry.path()));
-      const std::size_t index =
-          static_cast<std::size_t>(record.find("cell")->as_number());
-      const bool fresh =
-          payloads.emplace(index, record.find("payload")->dump()).second;
+    const exp::ResultStore reader(store);
+    const ExperimentSpec spec = reader.load_spec();
+    const exp::CellPlan plan = exp::enumerate_cells(spec);
+    const auto scan = reader.scan(plan, exp::plan_hash_hex(spec, plan));
+    for (const auto& [index, record] : scan.records) {
+      const bool fresh = payloads.emplace(index, record.payload.dump()).second;
       EXPECT_TRUE(fresh) << "duplicate cell " << index;
     }
   }
