@@ -622,7 +622,7 @@ ExperimentResult run_experiment(const ExperimentSpec& spec, std::ostream& out,
     store->initialize(frozen_spec(spec, plan), hash);
     if (options.resume) {
       auto scan = store->scan(plan, hash);
-      stats.torn = scan.torn.size();
+      stats.torn = scan.uncovered_torn();
       stats.reused = scan.records.size();
       for (auto& [index, record] : scan.records) payloads[index] = std::move(record.payload);
     }

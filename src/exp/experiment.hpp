@@ -126,8 +126,9 @@ struct RunStats {
   std::size_t total_cells = 0;  // full grid size for the spec
   std::size_t executed = 0;     // cells computed by this run
   std::size_t reused = 0;       // cells loaded from the result store (--resume)
-  std::size_t torn = 0;         // torn store records discarded (and re-run
-                                // when owned by this shard)
+  std::size_t torn = 0;         // torn store records whose cell no valid
+                                // record covers (re-run when owned by this
+                                // shard)
   bool complete = false;        // every cell present -> artifacts emitted
 };
 
@@ -150,8 +151,8 @@ struct RunOptions {
   /// cells are persisted for `saga merge`.
   std::size_t shard_index = 1;
   std::size_t shard_count = 1;
-  /// Result-store directory: every completed cell is written as a JSONL
-  /// record via atomic write-then-rename. Empty = no store.
+  /// Result-store directory: every completed cell is appended as a JSONL
+  /// record to this run's segment (exp/resultstore.hpp). Empty = no store.
   std::string out_dir;
   /// Skip cells already completed in `out_dir`; torn (truncated) records are
   /// discarded and their cells re-run.

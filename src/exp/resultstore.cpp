@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -161,6 +162,32 @@ ExperimentSpec ResultStore::load_spec() const {
   }
 }
 
+namespace {
+
+/// The cell index a torn line's prefix names, if the tear came after it.
+/// Records start `{"v": 1, "spec": "<hash>", "cell": N,`, so N is
+/// complete once the comma after it survived.
+std::optional<std::size_t> torn_cell(std::string_view line) {
+  constexpr std::string_view kKey = "\"cell\":";
+  const std::size_t at = line.find(kKey);
+  if (at == std::string_view::npos) return std::nullopt;
+  const char* first = line.data() + at + kKey.size();
+  const char* last = line.data() + line.size();
+  while (first != last && *first == ' ') ++first;
+  std::size_t cell = 0;
+  const auto [end, ec] = std::from_chars(first, last, cell);
+  if (ec != std::errc{} || end == last || *end != ',') return std::nullopt;
+  return cell;
+}
+
+}  // namespace
+
+std::size_t ResultStore::Scan::uncovered_torn() const {
+  return static_cast<std::size_t>(std::count_if(
+      torn.begin(), torn.end(),
+      [this](const TornLine& t) { return !t.cell.has_value() || records.count(*t.cell) == 0; }));
+}
+
 ResultStore::Scan ResultStore::scan(const CellPlan& plan,
                                     const std::string& expected_hash) const {
   Scan result;
@@ -184,7 +211,8 @@ ResultStore::Scan ResultStore::scan(const CellPlan& plan,
       // a final fragment without its newline, or any line that does not
       // parse, was torn mid-write and is reported, not fatal.
       if (end == std::string::npos) {
-        result.torn.push_back(path);
+        const std::string_view fragment(content.data() + begin, content.size() - begin);
+        result.torn.push_back({path, torn_cell(fragment)});
         break;
       }
       const std::string_view line(content.data() + begin, end - begin);
@@ -193,7 +221,7 @@ ResultStore::Scan ResultStore::scan(const CellPlan& plan,
       try {
         parsed = Json::parse(line);
       } catch (const std::exception&) {
-        result.torn.push_back(path);
+        result.torn.push_back({path, torn_cell(line)});
         continue;
       }
 
@@ -441,7 +469,7 @@ MergedRun merge_stores(const std::vector<fs::path>& dirs) {
 
   std::vector<Json> payloads(plan.cells.size());
   std::vector<std::string> canonical(plan.cells.size());  // dump() for conflict checks
-  std::vector<fs::path> torn;
+  std::vector<ResultStore::TornLine> torn;
   for (const auto& dir : dirs) {
     ResultStore store(dir);
     const ExperimentSpec other = store.load_spec();
@@ -483,7 +511,7 @@ MergedRun merge_stores(const std::vector<fs::path>& dirs) {
     }
     if (!missing.empty()) message << (missing.size() > 5 ? ", ...)" : ")");
     if (!torn.empty()) {
-      message << "; " << torn.size() << " torn record(s), first: " << torn.front().string();
+      message << "; " << torn.size() << " torn record(s), first: " << torn.front().segment.string();
     }
     message << "; run the missing shards or `saga run --resume`";
     throw std::runtime_error(message.str());

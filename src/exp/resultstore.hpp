@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -68,9 +69,18 @@ class ResultStore {
   /// Loads the stored spec; throws when `dir` is not a result store.
   [[nodiscard]] ExperimentSpec load_spec() const;
 
+  struct TornLine {
+    std::filesystem::path segment;
+    std::optional<std::size_t> cell;  // read from the surviving record prefix, if complete
+  };
   struct Scan {
     std::map<std::size_t, CellRecord> records;  // valid records by cell index
-    std::vector<std::filesystem::path> torn;    // segment of each torn line
+    std::vector<TornLine> torn;                 // one entry per torn line
+
+    /// Torn lines that still cost a cell: those whose cell no valid record
+    /// covers, and those whose cell cannot be read. A store repaired by one
+    /// `--resume` keeps its torn tail on disk but reports 0 here.
+    [[nodiscard]] std::size_t uncovered_torn() const;
   };
 
   /// Reads every cell record, visiting segments in sorted path order. Torn

@@ -15,7 +15,7 @@ void TimelineScratch::reset(std::size_t tasks, std::size_t nodes) {
   row_start.resize(nodes);
   row_finish.resize(nodes);
   ready_list.clear();
-  ready_dirty = true;
+  ready_live = false;
 }
 
 }  // namespace saga

@@ -58,7 +58,6 @@ struct TimelineScratch {
     std::vector<double> best_key;    // per task: key of the best lane
     std::vector<double> max_finish;  // per task: max over the finish row
     std::vector<NodeId> best_node;   // per task: lowest lane with the best key
-    std::vector<TaskId> ready;       // ready tasks, id-sorted
   };
 
   std::vector<std::vector<Interval>> busy;   // per node, sorted by (start, end)
@@ -69,8 +68,8 @@ struct TimelineScratch {
   std::vector<double> node_avail;            // per node: end of last busy interval
   std::vector<double> row_start;             // per node: eft_row output, see eft_row
   std::vector<double> row_finish;            // per node: eft_row output
-  std::vector<TaskId> ready_list;            // ready tasks, id-sorted, lazily rebuilt
-  bool ready_dirty = true;                   // ready_list stale; rebuild on query
+  std::vector<TaskId> ready_list;            // ready tasks, id-sorted, iff ready_live
+  bool ready_live = false;                   // ready_list built and kept by place()
   Workspace ws;
   ReadyRowStore rows;
 

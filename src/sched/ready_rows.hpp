@@ -21,9 +21,12 @@
 /// the row's maximum finish.
 ///
 /// Update rule. Placing a task on node v changes only node_available(v),
-/// so `place(t, v)` rewrites lane v of each remaining ready task and fills
-/// full rows only for the tasks the placement made ready (their
-/// predecessors are all placed, so their data-ready rows are final).
+/// so `place(t, v)` fills full rows for the tasks the placement made ready
+/// (their predecessors are all placed, so their data-ready rows are final)
+/// and then rewrites lane v of every ready task; the fresh rows are already
+/// current there, so only the older ones change. The ready set itself is
+/// the builder's list (TimelineBuilder::ready_tasks), which place() keeps
+/// current.
 ///
 /// Why it is exact, ties included. node_available(v) never decreases, and
 /// every key is non-decreasing in start and finish, so a lane's key can
@@ -55,13 +58,11 @@ class ReadyRows {
     store_.best_key.resize(tasks);
     store_.max_finish.resize(tasks);
     store_.best_node.resize(tasks);
-    const auto ready = builder.ready_tasks();
-    store_.ready.assign(ready.begin(), ready.end());
-    for (const TaskId t : store_.ready) fill(t);
+    for (const TaskId t : builder.ready_tasks()) fill(t);
   }
 
   /// Ready tasks in id order. Valid until the next place call.
-  [[nodiscard]] std::span<const TaskId> tasks() const noexcept { return store_.ready; }
+  [[nodiscard]] std::span<const TaskId> tasks() const noexcept { return builder_.ready_tasks(); }
 
   /// Lowest lane with the least key, and that key.
   [[nodiscard]] NodeId best_node(TaskId t) const { return store_.best_node[t]; }
@@ -74,21 +75,24 @@ class ReadyRows {
   /// The ready task with the least (greatest) best key; the lowest task id
   /// wins ties. Requires a non-empty ready set.
   [[nodiscard]] TaskId least_key_task() const {
-    return *std::min_element(store_.ready.begin(), store_.ready.end(), by_key());
+    const auto ready = tasks();
+    return *std::min_element(ready.begin(), ready.end(), by_key());
   }
   [[nodiscard]] TaskId greatest_key_task() const {
-    return *std::max_element(store_.ready.begin(), store_.ready.end(), by_key());
+    const auto ready = tasks();
+    return *std::max_element(ready.begin(), ready.end(), by_key());
   }
 
   /// Places ready task t on v at its append-mode start and updates the
   /// table (see the file comment).
   void place(TaskId t, NodeId v) {
     builder_.place(t, v, start(t, v));
-    auto& ready = store_.ready;
-    ready.erase(std::lower_bound(ready.begin(), ready.end(), t));
+    for (const auto& edge : view_.successors(t)) {
+      if (builder_.ready(edge.task)) fill(edge.task);
+    }
 
     const double avail = builder_.node_available(v);
-    for (const TaskId u : ready) {
+    for (const TaskId u : tasks()) {
       const std::size_t i = u * nodes_ + v;
       const double s = std::max(builder_.data_ready_row(u)[v], avail);
       if (s == store_.start[i]) continue;
@@ -97,13 +101,6 @@ class ReadyRows {
       store_.finish[i] = f;
       store_.max_finish[u] = std::max(store_.max_finish[u], f);
       if (store_.best_node[u] == v) rescan(u);
-    }
-
-    for (const auto& edge : view_.successors(t)) {
-      const TaskId u = edge.task;
-      if (!builder_.ready(u)) continue;
-      ready.insert(std::lower_bound(ready.begin(), ready.end(), u), u);
-      fill(u);
     }
   }
 

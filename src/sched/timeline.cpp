@@ -166,16 +166,22 @@ void TimelineBuilder::place(TaskId t, NodeId v, double start) {
   // zero-length interval placed at the start boundary of a longer one (the
   // only same-start case a valid placement can produce) sorts before it.
   // earliest_start's binary search relies on this invariant.
-  const auto pos = std::upper_bound(lane.begin(), lane.end(), iv,
-                                    [](const TimelineScratch::Interval& a,
-                                       const TimelineScratch::Interval& b) {
-                                      if (a.start != b.start) return a.start < b.start;
-                                      return a.end < b.end;
-                                    });
-  // Overlap check against neighbours (debug only; callers compute valid starts).
-  assert((pos == lane.begin() || std::prev(pos)->end <= iv.start + 1e-9) && "overlaps previous");
-  assert((pos == lane.end() || iv.end <= pos->start + 1e-9) && "overlaps next");
-  lane.insert(pos, iv);
+  const auto before = [](const TimelineScratch::Interval& a, const TimelineScratch::Interval& b) {
+    if (a.start != b.start) return a.start < b.start;
+    return a.end < b.end;
+  };
+  if (lane.empty() || !before(iv, lane.back())) {
+    // Sorts after the lane's last interval (every append-mode placement):
+    // upper_bound would return end().
+    assert((lane.empty() || lane.back().end <= iv.start + 1e-9) && "overlaps previous");
+    lane.push_back(iv);
+  } else {
+    const auto pos = std::upper_bound(lane.begin(), lane.end(), iv, before);
+    // Overlap check against neighbours (debug only; callers compute valid starts).
+    assert((pos == lane.begin() || std::prev(pos)->end <= iv.start + 1e-9) && "overlaps previous");
+    assert(iv.end <= pos->start + 1e-9 && "overlaps next");
+    lane.insert(pos, iv);
+  }
 
   const double finish = start + duration;
   scratch_->assignment[t] = Assignment{t, v, start, finish};
@@ -185,7 +191,12 @@ void TimelineBuilder::place(TaskId t, NodeId v, double start) {
   // Ends are non-decreasing along a lane, so the lane maximum is
   // max(previous maximum, the new interval's end).
   scratch_->node_avail[v] = std::max(scratch_->node_avail[v], iv.end);
-  scratch_->ready_dirty = true;
+  auto& ready = scratch_->ready_list;
+  if (scratch_->ready_live) {
+    const auto it = std::lower_bound(ready.begin(), ready.end(), t);
+    assert(it != ready.end() && *it == t && "placed task missing from the ready list");
+    ready.erase(it);
+  }
 
   // Fold t's contribution into each successor's data-ready row; once the
   // last predecessor is placed the row holds max over predecessors of
@@ -195,7 +206,9 @@ void TimelineBuilder::place(TaskId t, NodeId v, double start) {
   const auto succs = view_->successors(t);
   for (std::size_t i = 0; i < succs.size(); ++i) {
     const auto& edge = succs[i];
-    --scratch_->pending_preds[edge.task];
+    if (--scratch_->pending_preds[edge.task] == 0 && scratch_->ready_live) {
+      ready.insert(std::lower_bound(ready.begin(), ready.end(), edge.task), edge.task);
+    }
     double* row = scratch_->data_ready.data() + edge.task * nodes;
     if (const double* comm = view_->comm_row_or_null(succ_base + i, v)) {
       // Cached comm row (small instances): exactly cost / strength[v][u]

@@ -137,20 +137,22 @@ class TimelineBuilder {
     return scratch_->placed[t] == 0 && scratch_->pending_preds[t] == 0;
   }
 
-  /// Tasks whose predecessors are all placed, in id order. Returns a span
-  /// over an id-sorted list rebuilt on the first query after a placement
-  /// (one O(T) scan, no allocation once warm) — schedulers that place in a
-  /// precomputed priority order never pay for it. Valid until the next
-  /// place call.
+  /// Tasks whose predecessors are all placed, in id order, as one id-sorted
+  /// list the builder owns. The first query after construction builds it
+  /// with one O(T) scan; from then on place() keeps it current (erase the
+  /// placed task, insert each successor it made ready), so a scheduler that
+  /// queries every step pays O(|R|) per placement, not O(T). Schedulers
+  /// that place in a precomputed order and never query pay nothing. The
+  /// span is valid until the next place call.
   [[nodiscard]] std::span<const TaskId> ready_tasks() const noexcept {
     TimelineScratch& s = *scratch_;
-    if (s.ready_dirty) {
+    if (!s.ready_live) {
       s.ready_list.clear();
       const std::size_t tasks = view_->task_count();
       for (TaskId t = 0; t < tasks; ++t) {
         if (s.placed[t] == 0 && s.pending_preds[t] == 0) s.ready_list.push_back(t);
       }
-      s.ready_dirty = false;
+      s.ready_live = true;
     }
     return s.ready_list;
   }

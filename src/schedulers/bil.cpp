@@ -1,6 +1,8 @@
 #include "schedulers/bil.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include "sched/ready_rows.hpp"
@@ -11,6 +13,26 @@
 namespace saga {
 
 namespace {
+
+/// Above this many nodes the level table visits each successor's lanes in
+/// ascending level order and stops early (see build_bil); at or below it the
+/// full vectorised sweep is cheaper than the sort.
+constexpr std::size_t kSortedScanAboveNodes = 8;
+
+/// min(best, succ_row[v2] + comm(v2)) over every lane v2, visiting lanes in
+/// ascending (succ_row, lane) order and stopping at the first lane whose
+/// level alone is >= best. Exact: comm >= 0 and rounding is monotone, so no
+/// later lane can go below best, and min does not round.
+template <class Comm>
+double sorted_min(double best, const double* succ_row, const std::uint32_t* lanes,
+                  std::size_t n_nodes, Comm comm) {
+  for (std::size_t k = 0; k < n_nodes; ++k) {
+    const std::uint32_t v2 = lanes[k];
+    if (succ_row[v2] >= best) break;
+    best = std::min(best, succ_row[v2] + comm(v2));
+  }
+  return best;
+}
 
 void build_bil(TimelineBuilder& builder) {
   const InstanceView& view = builder.view();
@@ -23,9 +45,15 @@ void build_bil(TimelineBuilder& builder) {
   // dense strength table: the +inf diagonal makes `cost / strength[v]`
   // exactly the co-located 0, so no v2 == v branch is needed; min-folds are
   // insensitive to evaluation order, so the sweep is bit-identical to the
-  // skip-the-diagonal loop it replaces.
+  // skip-the-diagonal loop it replaces. On wide networks each finished row
+  // also records its lanes in ascending (level, lane) order (ws.idx), and
+  // the scan over a successor's row walks that order and stops at the first
+  // lane that cannot beat the best so far (sorted_min).
   std::vector<double>& bil = ws.d0;
   bil.assign(tasks * n_nodes, 0.0);
+  const bool sorted = n_nodes > kSortedScanAboveNodes;
+  std::vector<std::uint32_t>& lane_order = ws.idx;
+  if (sorted) lane_order.resize(tasks * n_nodes);
   const auto order = view.topological_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const TaskId t = *it;
@@ -38,7 +66,18 @@ void build_bil(TimelineBuilder& builder) {
         const auto& edge = succs[i];
         const double* succ_row = bil.data() + edge.task * n_nodes;
         double best = succ_row[v];  // keep the successor co-located with t
-        if (const double* comm = view.comm_row_or_null(succ_base + i, v)) {
+        const double* comm = view.comm_row_or_null(succ_base + i, v);
+        if (sorted) {
+          const std::uint32_t* lanes = lane_order.data() + edge.task * n_nodes;
+          // 0 / strength is +0.0, so the division covers zero-cost edges.
+          best = comm != nullptr
+                     ? sorted_min(best, succ_row, lanes, n_nodes,
+                                  [comm](std::uint32_t v2) { return comm[v2]; })
+                     : sorted_min(best, succ_row, lanes, n_nodes,
+                                  [&edge, strength](std::uint32_t v2) {
+                                    return edge.cost / strength[v2];
+                                  });
+        } else if (comm != nullptr) {
           // Cached comm row: exactly cost / strength[v2] per lane (zero on
           // the diagonal and for zero-cost edges), division-free.
           for (NodeId v2 = 0; v2 < n_nodes; ++v2) {
@@ -55,6 +94,15 @@ void build_bil(TimelineBuilder& builder) {
         tail = std::max(tail, best);
       }
       bil[t * n_nodes + v] = view.exec_time(t, v) + tail;
+    }
+    // Only a row some predecessor will scan needs its lane order.
+    if (sorted && !view.predecessors(t).empty()) {
+      const double* row = bil.data() + t * n_nodes;
+      std::uint32_t* lanes = lane_order.data() + t * n_nodes;
+      std::iota(lanes, lanes + n_nodes, std::uint32_t{0});
+      std::sort(lanes, lanes + n_nodes, [row](std::uint32_t a, std::uint32_t b) {
+        return row[a] < row[b] || (row[a] == row[b] && a < b);
+      });
     }
   }
 

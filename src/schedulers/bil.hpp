@@ -20,7 +20,10 @@ namespace saga {
 /// BIM(t, v) = EST(t, v) + BIL(t, v) minimised over nodes (the original
 /// paper's revised-BIM processor-ordering refinements are folded into this
 /// selection; see the implementation note in bil.cpp). The BIL table costs
-/// O(|E| |V|^2); selection runs on the ready-row table (sched/ready_rows.hpp).
+/// O(|E| |V|^2) in the worst case; above 8 nodes each successor's row is
+/// scanned in ascending level order and the scan stops once no lane can
+/// improve, which on real networks visits a few lanes per (edge, node).
+/// Selection runs on the ready-row table (sched/ready_rows.hpp).
 /// Designed for homogeneous link strengths (paper Section VI pins BIL's
 /// links to 1).
 class BilScheduler final : public Scheduler {

@@ -78,7 +78,7 @@ expect_identical(${WORK_DIR}/mono.json ${WORK_DIR}/merged.json)
 
 # 4. Crash recovery: tear the trailing bytes off the run's segment (its last
 # record), then --resume re-runs only that cell and converges to the same
-# artifacts.
+# artifacts; a later --resume finds nothing to do.
 saga_expect_success(full run ${spec} --out ${WORK_DIR}/full)
 file(GLOB segments ${WORK_DIR}/full/cells/*.jsonl)
 list(LENGTH segments segment_count)
@@ -101,6 +101,15 @@ if(NOT resume_output MATCHES "1 torn record")
 endif()
 expect_identical(${WORK_DIR}/mono.csv ${WORK_DIR}/resumed.csv)
 expect_identical(${WORK_DIR}/mono.json ${WORK_DIR}/resumed.json)
+# The torn tail stays on disk, but a valid record now covers its cell: a
+# second --resume runs nothing and reports no torn record.
+saga_expect_success(resume_again run ${spec} --out ${WORK_DIR}/full --resume)
+if(NOT resume_again_output MATCHES "ran 0 of")
+  message(FATAL_ERROR "second resume re-ran cells:\n${resume_again_output}")
+endif()
+if(resume_again_output MATCHES "torn record")
+  message(FATAL_ERROR "second resume reported a repaired tear:\n${resume_again_output}")
+endif()
 
 # 5. Error contracts: usage errors exit 2, incomplete merges exit 1.
 saga_expect_failure(bad_shard 2 "invalid shard" run ${spec} --shard 4/3 --out ${WORK_DIR}/x)

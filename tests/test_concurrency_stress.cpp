@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "common/stats.hpp"
+#include "common/version.hpp"
+#include "graph/network.hpp"
 #include "common/thread_pool.hpp"
 #include "serve/http.hpp"
 #include "serve/service.hpp"
@@ -119,6 +122,38 @@ TEST(ConcurrencyStress, ParallelForUnderConcurrentGaugeReads) {
   }
   done.store(true, std::memory_order_relaxed);
   reader.join();
+}
+
+TEST(ConcurrencyStress, VersionStampsStayUniqueAcrossThreads) {
+  // Each thread takes stamps from its own reserved block; blocks must never
+  // overlap, and no stamp may be 0 (a fresh InstanceView's "never synced").
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kStampsEach = 100000;
+  std::vector<std::vector<VersionStamp>> stamps(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&stamps, i] {
+      Network network(2);
+      auto& mine = stamps[i];
+      mine.reserve(kStampsEach);
+      for (std::size_t k = 0; k < kStampsEach; ++k) {
+        network.set_speed(0, 1.0 + static_cast<double>(k % 7));
+        mine.push_back(network.weights_stamp());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  std::vector<VersionStamp> all;
+  for (const auto& mine : stamps) {
+    ASSERT_EQ(mine.size(), kStampsEach);
+    // Within one thread, stamps increase.
+    EXPECT_TRUE(std::is_sorted(mine.begin(), mine.end()));
+    all.insert(all.end(), mine.begin(), mine.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_NE(all.front(), 0u);
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end()) << "a stamp was handed out twice";
 }
 
 TEST(ConcurrencyStress, TelemetryCountersVersusMetricsRender) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "graph/instance_view.hpp"
 #include "sched/arena.hpp"
 #include "sched/ranks.hpp"
+#include "sched/ready_rows.hpp"
 #include "sched/registry.hpp"
 #include "sched/timeline.hpp"
 #include "schedulers/bil.hpp"
@@ -121,22 +124,90 @@ TEST(RowWiseCandidates, MatchesScalarQueriesMidConstruction) {
   }
 }
 
-TEST(RowWiseCandidates, ReadyTasksMatchesBruteForce) {
-  const auto inst = fuzzed_instance(12, 3, 5);
-  Rng rng(3);
-  TimelineArena arena;
-  TimelineBuilder builder(inst, &arena);
-  while (!builder.complete()) {
-    std::vector<TaskId> expected;
-    for (TaskId t = 0; t < inst.graph.task_count(); ++t) {
-      if (builder.ready(t)) expected.push_back(t);
-    }
-    const auto ready = builder.ready_tasks();
-    ASSERT_EQ(std::vector<TaskId>(ready.begin(), ready.end()), expected);
-    builder.place_earliest(ready[rng.index(ready.size())],
-                           static_cast<NodeId>(rng.index(inst.network.node_count())), false);
+std::vector<TaskId> brute_force_ready(const TimelineBuilder& builder) {
+  std::vector<TaskId> ready;
+  for (TaskId t = 0; t < builder.view().task_count(); ++t) {
+    if (builder.ready(t)) ready.push_back(t);
   }
-  EXPECT_TRUE(builder.ready_tasks().empty());
+  return ready;
+}
+
+std::vector<TaskId> as_vector(std::span<const TaskId> tasks) {
+  return {tasks.begin(), tasks.end()};
+}
+
+TEST(RowWiseCandidates, ReadyTasksMatchesBruteForce) {
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    const auto inst = fuzzed_instance(12 + 6 * seed, 3, 5 + seed);
+    const std::size_t nodes = inst.network.node_count();
+    Rng rng(3 + seed);
+    TimelineArena arena;
+    TimelineBuilder builder(inst, &arena);
+    // The first query may come after a few placements: the list is built
+    // then, and kept by every place() after it.
+    const std::size_t first_query = rng.index(4);
+    while (!builder.complete()) {
+      const auto expected = brute_force_ready(builder);
+      if (builder.placed_count() >= first_query) {
+        ASSERT_EQ(as_vector(builder.ready_tasks()), expected) << "seed " << seed;
+      }
+      if (rng.index(3) == 0) {
+        // An exact-search branch: the copy (or assigned-over builder)
+        // keeps its own list through its own placements and leaves the
+        // original's alone.
+        std::optional<TimelineBuilder> branch;
+        if (rng.index(2) == 0) {
+          branch.emplace(inst, &arena);
+          *branch = builder;
+        } else {
+          branch.emplace(builder);
+        }
+        while (!branch->complete()) {
+          const auto branch_ready = brute_force_ready(*branch);
+          ASSERT_EQ(as_vector(branch->ready_tasks()), branch_ready) << "seed " << seed;
+          branch->place_earliest(branch_ready[rng.index(branch_ready.size())],
+                                 static_cast<NodeId>(rng.index(nodes)), rng.index(2) == 0);
+        }
+        EXPECT_TRUE(branch->ready_tasks().empty());
+        ASSERT_EQ(brute_force_ready(builder), expected);
+      }
+      builder.place_earliest(expected[rng.index(expected.size())],
+                             static_cast<NodeId>(rng.index(nodes)), rng.index(2) == 0);
+    }
+    EXPECT_TRUE(builder.ready_tasks().empty());
+  }
+
+  // A ReadyRows table reads the builder's list; after every placement the
+  // list and every ready row must be current.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    const auto inst = fuzzed_instance(30, 2 + 3 * seed, 40 + seed);
+    const std::size_t nodes = inst.network.node_count();
+    Rng rng(11 + seed);
+    TimelineArena arena;
+    TimelineBuilder builder(inst, &arena);
+    ReadyRows rows(builder, [](TaskId, NodeId, double, double finish) { return finish; });
+    while (!builder.complete()) {
+      const auto expected = brute_force_ready(builder);
+      ASSERT_EQ(as_vector(rows.tasks()), expected) << "seed " << seed;
+      ASSERT_EQ(as_vector(builder.ready_tasks()), expected) << "seed " << seed;
+      for (const TaskId u : expected) {
+        double best = std::numeric_limits<double>::infinity();
+        NodeId best_node = 0;
+        for (NodeId v = 0; v < nodes; ++v) {
+          ASSERT_EQ(rows.start(u, v), builder.earliest_start(u, v, false)) << "task " << u;
+          ASSERT_EQ(rows.finish(u, v), builder.earliest_finish(u, v, false)) << "task " << u;
+          if (rows.finish(u, v) < best) {
+            best = rows.finish(u, v);
+            best_node = v;
+          }
+        }
+        ASSERT_EQ(rows.best_key(u), best) << "task " << u;
+        ASSERT_EQ(rows.best_node(u), best_node) << "task " << u;
+      }
+      rows.place(expected[rng.index(expected.size())], static_cast<NodeId>(rng.index(nodes)));
+    }
+    EXPECT_TRUE(rows.tasks().empty());
+  }
 }
 
 // --- ready-row table == the per-step ready-set sweeps it replaced ---------
@@ -412,6 +483,36 @@ ProblemInstance tie_heavy_instance(Rng& rng) {
   return inst;
 }
 
+/// Networks wider than BIL's sorted-scan cut-over (8 nodes), IoT-style:
+/// edge, fog and cloud tiers with repeated speeds and link strengths drawn
+/// from a few levels (ties everywhere) and infinite cloud-cloud links,
+/// under a tie-heavy graph with zero-cost tasks and edges.
+ProblemInstance wide_tiered_instance(Rng& rng, std::size_t nodes) {
+  ProblemInstance inst;
+  const std::size_t tasks = 8 + rng.index(17);
+  for (std::size_t i = 0; i < tasks; ++i) {
+    const TaskId t = inst.graph.add_task(static_cast<double>(rng.index(4)));
+    if (t == 0) continue;
+    const std::size_t preds = rng.index(4);
+    for (std::size_t p = 0; p < preds; ++p) {
+      const auto from = static_cast<TaskId>(rng.index(t));
+      (void)inst.graph.add_dependency(from, t, static_cast<double>(rng.index(4)));
+    }
+  }
+  static constexpr double kLevels[] = {1.0, 2.0, 4.0};
+  const auto tier = [nodes](NodeId v) { return v < nodes / 2 ? 0 : (v < 3 * nodes / 4 ? 1 : 2); };
+  inst.network = Network(nodes);
+  for (NodeId v = 0; v < nodes; ++v) inst.network.set_speed(v, kLevels[tier(v)]);
+  for (NodeId a = 0; a < nodes; ++a) {
+    for (NodeId b = a + 1; b < nodes; ++b) {
+      const bool cloud = tier(a) == 2 && tier(b) == 2;
+      inst.network.set_strength(a, b, cloud ? std::numeric_limits<double>::infinity()
+                                            : kLevels[rng.index(3)]);
+    }
+  }
+  return inst;
+}
+
 struct SweepCase {
   std::string label;
   SchedulerPtr scheduler;
@@ -471,6 +572,16 @@ TEST(ReadyRows, MatchesPerStepSweepsOnTieHeavyInstances) {
     for (const auto& c : cases) {
       expect_matches_sweep(c, inst, arena, "instance " + std::to_string(i));
       if (HasFatalFailure()) return;
+    }
+  }
+  for (const std::size_t nodes : {9, 17, 64, 130}) {
+    for (int i = 0; i < 6; ++i) {
+      const ProblemInstance inst = wide_tiered_instance(rng, nodes);
+      for (const auto& c : cases) {
+        expect_matches_sweep(c, inst, arena,
+                             std::to_string(nodes) + " nodes, instance " + std::to_string(i));
+        if (HasFatalFailure()) return;
+      }
     }
   }
 }

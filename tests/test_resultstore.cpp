@@ -275,6 +275,47 @@ TEST(ResultStoreCrashRecovery, TornTailStaysOnDiskAndStaysHarmless) {
   EXPECT_EQ(merged.json, golden.json);
 }
 
+TEST(ResultStoreCrashRecovery, TornCountIgnoresTearsWhoseCellIsCovered) {
+  const fs::path dir = scratch("torn_count");
+  const fs::path store_dir = dir / "store";
+  RunOptions options;
+  options.out_dir = store_dir.string();
+  std::ostringstream sink;
+  (void)exp::run_experiment(benchmark_spec(), sink, options);
+  const fs::path victim = only_segment(store_dir);
+  ASSERT_FALSE(victim.empty());
+  fs::resize_file(victim, fs::file_size(victim) - 9);
+
+  options.resume = true;
+  const auto repair = exp::run_experiment(benchmark_spec(), sink, options);
+  EXPECT_EQ(repair.stats.torn, 1u);
+  EXPECT_EQ(repair.stats.executed, 1u);
+  // The tear stays on disk, but a valid record now covers its cell.
+  const auto later = exp::run_experiment(benchmark_spec(), sink, options);
+  EXPECT_EQ(later.stats.torn, 0u);
+  EXPECT_EQ(later.stats.executed, 0u);
+
+  const ExperimentSpec spec = benchmark_spec();
+  const CellPlan plan = exp::enumerate_cells(spec);
+  const std::string hash = exp::plan_hash_hex(spec, plan);
+  // Lines whose cell index cannot be read still count: one cut inside the
+  // index (no comma after it yet), one cut before it, one not JSON at all.
+  // A prefix naming a covered cell does not.
+  {
+    std::ofstream extra(store_dir / "cells" / "z-extra.jsonl", std::ios::binary);
+    extra << R"({"v": 1, "spec": ")" << hash << R"(", "cell": 0, "key": "b)" << "\n"
+          << "not json\n"
+          << R"({"v": 1, "spec": ")" << hash << "\n"
+          << R"({"v": 1, "spec": ")" << hash << R"(", "cell": 1)";
+  }
+  const auto scan = ResultStore(store_dir).scan(plan, hash);
+  ASSERT_EQ(scan.torn.size(), 5u);
+  EXPECT_EQ(scan.uncovered_torn(), 3u);
+  ASSERT_TRUE(scan.torn.back().segment.filename() == "z-extra.jsonl");
+  EXPECT_FALSE(scan.torn.back().cell.has_value());
+  EXPECT_EQ(exp::run_experiment(benchmark_spec(), sink, options).stats.torn, 3u);
+}
+
 TEST(ResultStoreMerge, FailsLoudlyOnMissingCellsAndTornRecords) {
   const fs::path dir = scratch("missing");
   const auto stores = run_shards(benchmark_spec(), dir, 3);
