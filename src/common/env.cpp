@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/thread_pool.hpp"
+
 namespace saga {
 
 namespace {
@@ -41,7 +43,10 @@ double env_scale() {
 std::uint64_t env_seed() { return read_u64("SAGA_SEED", 42); }
 
 std::size_t env_threads() {
-  return static_cast<std::size_t>(read_u64("SAGA_THREADS", 0));
+  // Above kMaxThreads (including "-1", which strtoull wraps) counts as
+  // unparsable: fall back to hardware concurrency.
+  const std::uint64_t threads = read_u64("SAGA_THREADS", 0);
+  return threads > kMaxThreads ? 0 : static_cast<std::size_t>(threads);
 }
 
 std::size_t scaled_count(std::size_t paper_count, std::size_t floor_) {

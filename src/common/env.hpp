@@ -19,7 +19,8 @@ namespace saga {
 /// Master seed for all experiment RNG streams. Default 42.
 [[nodiscard]] std::uint64_t env_seed();
 
-/// Thread count for the global pool; 0 means hardware concurrency.
+/// Thread count for the global pool; 0 means hardware concurrency. A value
+/// above kMaxThreads (common/thread_pool.hpp) is treated as unparsable: 0.
 [[nodiscard]] std::size_t env_threads();
 
 /// Scales a paper-fidelity count by env_scale(), keeping at least `floor_`.

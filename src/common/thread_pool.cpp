@@ -2,12 +2,18 @@
 
 #include <atomic>
 #include <exception>
+#include <stdexcept>
+#include <string>
 
 #include "common/env.hpp"
 
 namespace saga {
 
 ThreadPool::ThreadPool(std::size_t threads) {
+  if (threads > kMaxThreads) {
+    throw std::invalid_argument("thread count " + std::to_string(threads) +
+                                " exceeds the limit of " + std::to_string(kMaxThreads));
+  }
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
     if (threads == 0) threads = 1;

@@ -21,9 +21,16 @@
 
 namespace saga {
 
+/// Upper bound on an explicit worker count. Thread counts read from outside
+/// the program (`saga serve --threads`, SAGA_THREADS, a spec's "threads")
+/// are checked against it, so a typo cannot ask for billions of threads.
+inline constexpr std::size_t kMaxThreads = 1024;
+
 class ThreadPool {
  public:
   /// Spawns `threads` workers (defaults to hardware concurrency, at least 1).
+  /// Throws std::invalid_argument, before starting any worker, when
+  /// `threads` exceeds kMaxThreads.
   explicit ThreadPool(std::size_t threads = 0);
 
   /// Drains outstanding work and joins all workers.

@@ -129,16 +129,6 @@ std::string elapsed_us(std::chrono::steady_clock::time_point from) {
   return buf;
 }
 
-/// Batch group key: requests may only gather with batch-mates from the
-/// same dataset family (the spec up to '?'), so one pass touches related
-/// generator state; inline-instance requests form their own group.
-std::string batch_group(const Json& body) {
-  const Json* dataset = body.find("dataset");
-  if (dataset == nullptr || !dataset->is_string()) return "@inline";
-  const std::string& spec = dataset->as_string();
-  return spec.substr(0, spec.find('?'));
-}
-
 // Unique-id generator: the relaxed fetch_add is enough because uniqueness
 // needs only the atomicity of the RMW, not any cross-thread ordering.
 std::atomic<std::uint64_t> next_service_serial{1};
@@ -150,9 +140,7 @@ ScheduleService::ScheduleService() : ScheduleService(Options{}) {}
 ScheduleService::ScheduleService(const Options& options)
     : options_(options),
       start_(std::chrono::steady_clock::now()),
-      serial_(next_service_serial.fetch_add(1, std::memory_order_relaxed)) {
-  if (options_.batch.enabled()) batcher_ = std::make_unique<BatchGatherer>(options_.batch);
-}
+      serial_(next_service_serial.fetch_add(1, std::memory_order_relaxed)) {}
 
 double ScheduleService::uptime_seconds() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
@@ -278,37 +266,25 @@ HttpResponse ScheduleService::handle_schedule(const HttpRequest& req) {
   const SchedulerPtr scheduler = decode([&] { return SchedulerRegistry::instance().make(spec, seed); });
   const ProblemInstance inst = resolve_instance(body, seed);
 
-  const auto run = [&]() -> HttpResponse {
-    bool warm = false;
-    TimelineArena& arena = thread_arena(warm);
-    const auto run_started = std::chrono::steady_clock::now();
-    const Schedule schedule = scheduler->schedule(inst, &arena);
-    const std::string schedule_us = elapsed_us(run_started);
+  bool warm = false;
+  TimelineArena& arena = thread_arena(warm);
+  const auto run_started = std::chrono::steady_clock::now();
+  const Schedule schedule = scheduler->schedule(inst, &arena);
+  const std::string schedule_us = elapsed_us(run_started);
 
-    Json out = Json::object({{"scheduler", Json::string(spec)},
-                             {"tasks", Json::number(static_cast<double>(inst.graph.task_count()))},
-                             {"nodes", Json::number(static_cast<double>(inst.network.node_count()))},
-                             {"makespan", Json::number(schedule.makespan())},
-                             {"schedule", schedule_to_json(schedule)}});
-    if (timings) {
-      // Opt-in and documented as nondeterministic: embedding wall-clock time
-      // forfeits byte-identical responses.
-      out.set("timing_us", Json::object({{"schedule", Json::string(schedule_us)}}));
-    }
-    HttpResponse resp;
-    resp.body = out.dump() + "\n";
-    return resp;
-  };
-
-  // Tiny deterministic requests gather onto one warm pass; `timings`
-  // bodies are excluded because their responses are not pure functions of
-  // the request bytes (dedup would hand one member another's wall-clock).
-  if (batcher_ != nullptr && !timings && inst.graph.task_count() <= options_.batch.max_tasks) {
-    // Captured locals stay valid across threads: every batch member blocks
-    // inside run() until its response exists.
-    return batcher_->run(batch_group(body), req.body, run);
+  Json out = Json::object({{"scheduler", Json::string(spec)},
+                           {"tasks", Json::number(static_cast<double>(inst.graph.task_count()))},
+                           {"nodes", Json::number(static_cast<double>(inst.network.node_count()))},
+                           {"makespan", Json::number(schedule.makespan())},
+                           {"schedule", schedule_to_json(schedule)}});
+  if (timings) {
+    // Opt-in and documented as nondeterministic: embedding wall-clock time
+    // forfeits byte-identical responses.
+    out.set("timing_us", Json::object({{"schedule", Json::string(schedule_us)}}));
   }
-  return run();
+  HttpResponse resp;
+  resp.body = out.dump() + "\n";
+  return resp;
 }
 
 HttpResponse ScheduleService::handle_compare(const HttpRequest& req) {
@@ -436,11 +412,6 @@ HttpResponse ScheduleService::handle_metrics() {
   if (gauge_sampler_) gauges = gauge_sampler_();
   gauges.uptime_seconds = uptime_seconds();
   if (options_.admission != nullptr) gauges.admission_shed = options_.admission->shed_total();
-  if (batcher_ != nullptr) {
-    gauges.batch_requests = batcher_->requests_total();
-    gauges.batch_passes = batcher_->passes_total();
-    gauges.batch_coalesced = batcher_->coalesced_total();
-  }
   HttpResponse resp;
   resp.content_type = "text/plain; version=0.0.4; charset=utf-8";
   resp.body = telemetry_.render_prometheus(gauges);

@@ -160,18 +160,6 @@ std::string Telemetry::render_prometheus(const Gauges& gauges) const {
   out += "# TYPE saga_admission_shed_total counter\n";
   append(out, "saga_admission_shed_total %llu\n",
          static_cast<unsigned long long>(gauges.admission_shed));
-  out += "# HELP saga_batch_requests_total Requests routed through the batch gatherer.\n";
-  out += "# TYPE saga_batch_requests_total counter\n";
-  append(out, "saga_batch_requests_total %llu\n",
-         static_cast<unsigned long long>(gauges.batch_requests));
-  out += "# HELP saga_batch_passes_total Gather passes (leader sweeps) executed.\n";
-  out += "# TYPE saga_batch_passes_total counter\n";
-  append(out, "saga_batch_passes_total %llu\n",
-         static_cast<unsigned long long>(gauges.batch_passes));
-  out += "# HELP saga_batch_coalesced_total Batch members answered from a byte-identical mate.\n";
-  out += "# TYPE saga_batch_coalesced_total counter\n";
-  append(out, "saga_batch_coalesced_total %llu\n",
-         static_cast<unsigned long long>(gauges.batch_coalesced));
 
   return out;
 }

@@ -7,7 +7,8 @@
 # `saga generate --json` instance and with a dataset spec), /v1/compare,
 # /metrics — plus the 4xx error contract (daemon stays up), byte-identical
 # repeated responses, and a SIGTERM graceful drain that reports the served
-# request count.
+# request count. Also checks that removed or out-of-range flags are usage
+# errors.
 
 foreach(var SAGA_CLI SAGA_PROBE WORK_DIR)
   if(NOT ${var})
@@ -97,6 +98,28 @@ file(WRITE ${WORK_DIR}/compare_req.json
 file(WRITE ${WORK_DIR}/bad_scheduler_req.json
   "{\"scheduler\": \"HEFTT\", \"dataset\": \"chains\"}")
 file(WRITE ${WORK_DIR}/malformed_req.json "{\"scheduler\": ")
+
+# 1b. Usage errors exit 2 while parsing flags, before any port is bound or
+# thread started. TIMEOUT keeps a regression that did start a daemon from
+# hanging the smoke.
+function(saga_expect_usage_error name needle)
+  execute_process(COMMAND ${SAGA_CLI} ${ARGN}
+    RESULT_VARIABLE rv
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err
+    TIMEOUT 10)
+  if(NOT rv EQUAL 2)
+    fail("step '${name}' exited ${rv}, expected the usage error 2\nstderr:\n${err}")
+  endif()
+  string(FIND "${err}" "${needle}" at)
+  if(at EQUAL -1)
+    fail("step '${name}' lacks '${needle}' in its usage text:\n${err}")
+  endif()
+endfunction()
+saga_expect_usage_error(removed_batch_flag "unknown option '--batch-window'"
+  serve --port 0 --batch-window 100)
+saga_expect_usage_error(too_many_threads "--threads must be at most"
+  serve --port 0 --threads 1000000)
 
 # 2. Start the daemon on an ephemeral port; it runs with 4 workers so the
 # concurrent-determinism check below exercises real parallelism.

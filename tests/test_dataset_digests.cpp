@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -71,8 +72,10 @@ TEST(DatasetDigests, ExplicitDefaultParametersStayBitIdentical) {
 }
 
 TEST(DatasetDigests, PinsCoverEveryTable2Dataset) {
+  // Extension rows pin parameterised specs ("erdos?n=80"), not Table 2.
   std::vector<std::string> pinned;
   for (const auto& pin : kGoldenDigests) {
+    if (std::strchr(pin.dataset, '?') != nullptr) continue;
     if (pinned.empty() || pinned.back() != pin.dataset) pinned.emplace_back(pin.dataset);
   }
   EXPECT_EQ(pinned, datasets::DatasetRegistry::instance().names("table2"));

@@ -47,5 +47,15 @@ TEST(Env, ThreadsDefaultsToZero) {
   EXPECT_EQ(env_threads(), 0u);
 }
 
+TEST(Env, ThreadsAboveTheLimitFallBackToZero) {
+  // "-1" wraps to 2^64 - 1 under strtoull; both stand for a typo, not a
+  // request for that many threads.
+  for (const char* raw : {"1000000", "-1"}) {
+    setenv("SAGA_THREADS", raw, 1);
+    EXPECT_EQ(env_threads(), 0u) << raw;
+  }
+  unsetenv("SAGA_THREADS");
+}
+
 }  // namespace
 }  // namespace saga

@@ -2,22 +2,18 @@
 
 #include <atomic>
 #include <cstddef>
-#include <stdexcept>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "exp/json.hpp"
 #include "graph/problem_instance.hpp"
 #include "serve/admission.hpp"
-#include "serve/batch.hpp"
 #include "serve/codec.hpp"
 #include "serve/service.hpp"
 
-/// Admission-control and cross-request batching contracts: the policy
-/// pieces in isolation (AdmissionController, BatchGatherer), then the
-/// ScheduleService wiring under synthetic pressure — unit-level so the 429
-/// path is deterministic, no real socket load needed.
+/// Admission-control contracts: the policy in isolation
+/// (AdmissionController), then the ScheduleService wiring under synthetic
+/// pressure — unit-level so the 429 path is deterministic, no real socket
+/// load needed.
 
 namespace saga::serve {
 namespace {
@@ -166,193 +162,6 @@ TEST(ServeServiceAdmission, InflightAxisShedsIndependently) {
   EXPECT_EQ(service.handle(make_request("POST", "/v1/schedule", good)).status, 200);
   inflight.store(2, std::memory_order_relaxed);
   EXPECT_EQ(service.handle(make_request("POST", "/v1/schedule", good)).status, 429);
-}
-
-TEST(BatchGather, PairGathersOntoOnePassAndDedupsIdenticalBytes) {
-  BatchOptions options;
-  options.window_us = 10'000'000;  // never expires: max_batch closes the window
-  options.max_batch = 2;
-  BatchGatherer gatherer(options);
-
-  std::atomic<int> executions{0};
-  const std::string bytes = "identical-request-bytes";
-  const BatchGatherer::Work work = [&executions] {
-    executions.fetch_add(1, std::memory_order_relaxed);
-    HttpResponse resp;
-    resp.body = "shared\n";
-    return resp;
-  };
-
-  HttpResponse a, b;
-  std::thread first([&] { a = gatherer.run("chains", bytes, work); });
-  std::thread second([&] { b = gatherer.run("chains", bytes, work); });
-  first.join();
-  second.join();
-
-  EXPECT_EQ(a.body, "shared\n");
-  EXPECT_EQ(b.body, "shared\n");
-  EXPECT_EQ(executions.load(), 1);  // byte-identical members share one execution
-  EXPECT_EQ(gatherer.requests_total(), 2u);
-  EXPECT_EQ(gatherer.passes_total(), 1u);
-  EXPECT_EQ(gatherer.coalesced_total(), 1u);
-}
-
-TEST(BatchGather, DistinctMembersEachRunAndGetTheirOwnResponse) {
-  BatchOptions options;
-  options.window_us = 10'000'000;
-  options.max_batch = 2;
-  BatchGatherer gatherer(options);
-
-  const std::string bytes_a = "request-a";
-  const std::string bytes_b = "request-b";
-  const auto work_for = [](const char* label) {
-    return BatchGatherer::Work([label] {
-      HttpResponse resp;
-      resp.body = label;
-      return resp;
-    });
-  };
-  const BatchGatherer::Work work_a = work_for("a\n");
-  const BatchGatherer::Work work_b = work_for("b\n");
-
-  HttpResponse a, b;
-  std::thread first([&] { a = gatherer.run("chains", bytes_a, work_a); });
-  std::thread second([&] { b = gatherer.run("chains", bytes_b, work_b); });
-  first.join();
-  second.join();
-
-  EXPECT_EQ(a.body, "a\n");
-  EXPECT_EQ(b.body, "b\n");
-  EXPECT_EQ(gatherer.passes_total(), 1u);
-  EXPECT_EQ(gatherer.coalesced_total(), 0u);
-}
-
-TEST(BatchGather, ExceptionsPropagateToEveryDedupedMember) {
-  BatchOptions options;
-  options.window_us = 10'000'000;
-  options.max_batch = 2;
-  BatchGatherer gatherer(options);
-
-  const std::string bytes = "explodes";
-  const BatchGatherer::Work work = []() -> HttpResponse {
-    throw std::runtime_error("work failed");
-  };
-
-  std::atomic<int> throws{0};
-  const auto member = [&gatherer, &bytes, &work, &throws] {
-    try {
-      (void)gatherer.run("chains", bytes, work);
-    } catch (const std::runtime_error& e) {
-      EXPECT_STREQ(e.what(), "work failed");
-      throws.fetch_add(1, std::memory_order_relaxed);
-    }
-  };
-  std::thread first(member);
-  std::thread second(member);
-  first.join();
-  second.join();
-  EXPECT_EQ(throws.load(), 2);
-}
-
-TEST(BatchGather, SequentialCallsAndSeparateGroupsDoNotGather) {
-  BatchOptions options;
-  options.window_us = 100;  // expires almost immediately: no followers
-  options.max_batch = 8;
-  BatchGatherer gatherer(options);
-
-  const std::string bytes = "solo";
-  const BatchGatherer::Work work = [] {
-    HttpResponse resp;
-    resp.body = "ok\n";
-    return resp;
-  };
-  EXPECT_EQ(gatherer.run("g1", bytes, work).body, "ok\n");
-  EXPECT_EQ(gatherer.run("g1", bytes, work).body, "ok\n");
-  EXPECT_EQ(gatherer.run("g2", bytes, work).body, "ok\n");
-  EXPECT_EQ(gatherer.requests_total(), 3u);
-  EXPECT_EQ(gatherer.passes_total(), 3u);  // each call led its own pass
-  EXPECT_EQ(gatherer.coalesced_total(), 0u);
-}
-
-TEST(ServeServiceBatch, BatchedResponsesAreByteIdenticalToUnbatched) {
-  ScheduleService plain;
-  const std::vector<std::string> bodies = {
-      R"({"scheduler": "HEFT", "dataset": "chains?length=8"})",
-      R"({"scheduler": "CPoP", "dataset": "chains?length=8"})",
-      schedule_body(),
-  };
-  std::vector<std::string> reference;
-  for (const auto& body : bodies) {
-    const HttpResponse resp = plain.handle(make_request("POST", "/v1/schedule", body));
-    ASSERT_EQ(resp.status, 200) << resp.body;
-    reference.push_back(resp.body);
-  }
-
-  // 1 and 4 concurrent clients: batch composition varies run to run, the
-  // bytes must not.
-  for (const int thread_count : {1, 4}) {
-    ScheduleService::Options options;
-    options.batch.window_us = 500;
-    options.batch.max_batch = 4;
-    ScheduleService batched(options);
-    ASSERT_NE(batched.batcher(), nullptr);
-
-    constexpr int kRoundsEach = 8;
-    std::vector<std::vector<std::string>> got(static_cast<std::size_t>(thread_count));
-    std::vector<std::thread> threads;
-    for (int t = 0; t < thread_count; ++t) {
-      threads.emplace_back([&batched, &bodies, &got, t] {
-        for (int round = 0; round < kRoundsEach; ++round) {
-          for (const auto& body : bodies) {
-            got[static_cast<std::size_t>(t)].push_back(
-                batched.handle(make_request("POST", "/v1/schedule", body)).body);
-          }
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-
-    for (const auto& lane : got) {
-      ASSERT_EQ(lane.size(), kRoundsEach * bodies.size());
-      for (std::size_t i = 0; i < lane.size(); ++i) {
-        EXPECT_EQ(lane[i], reference[i % bodies.size()]) << "thread count " << thread_count;
-      }
-    }
-    EXPECT_EQ(batched.batcher()->requests_total(),
-              static_cast<std::uint64_t>(thread_count) * kRoundsEach * bodies.size());
-    EXPECT_GE(batched.batcher()->passes_total(), 1u);
-  }
-}
-
-TEST(ServeServiceBatch, TimingsRequestsBypassTheGatherer) {
-  ScheduleService::Options options;
-  options.batch.window_us = 500;
-  options.batch.max_batch = 4;
-  ScheduleService service(options);
-  const std::string body =
-      R"({"scheduler": "HEFT", "dataset": "chains?length=8", "timings": true})";
-  const HttpResponse resp = service.handle(make_request("POST", "/v1/schedule", body));
-  ASSERT_EQ(resp.status, 200) << resp.body;
-  // Nondeterministic bodies must not be dedup candidates.
-  EXPECT_EQ(service.batcher()->requests_total(), 0u);
-}
-
-TEST(ServeServiceBatch, BatchCountersSurfaceInMetrics) {
-  ScheduleService::Options options;
-  options.batch.window_us = 100;
-  options.batch.max_batch = 2;
-  ScheduleService service(options);
-  ASSERT_EQ(
-      service
-          .handle(make_request("POST", "/v1/schedule",
-                               R"({"scheduler": "HEFT", "dataset": "chains?length=8"})"))
-          .status,
-      200);
-  const HttpResponse metrics = service.handle(make_request("GET", "/metrics"));
-  ASSERT_EQ(metrics.status, 200);
-  EXPECT_NE(metrics.body.find("saga_batch_requests_total 1"), std::string::npos) << metrics.body;
-  EXPECT_NE(metrics.body.find("saga_batch_passes_total 1"), std::string::npos) << metrics.body;
-  EXPECT_NE(metrics.body.find("saga_batch_coalesced_total 0"), std::string::npos) << metrics.body;
 }
 
 }  // namespace

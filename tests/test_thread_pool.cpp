@@ -17,6 +17,10 @@ TEST(ThreadPool, SpawnsRequestedThreads) {
   EXPECT_EQ(pool.thread_count(), 3u);
 }
 
+TEST(ThreadPool, RejectsMoreThanMaxThreadsBeforeStartingAny) {
+  EXPECT_THROW(ThreadPool pool(kMaxThreads + 1), std::invalid_argument);
+}
+
 TEST(ThreadPool, DefaultsToAtLeastOneThread) {
   ThreadPool pool;
   EXPECT_GE(pool.thread_count(), 1u);
