@@ -25,15 +25,27 @@ double stddev(const std::vector<double>& xs) {
   return std::sqrt(accum / static_cast<double>(xs.size() - 1));
 }
 
+namespace {
+
+/// Linear interpolation at rank q * (n - 1) of a sorted, non-empty sample.
+/// An exact rank returns its sample as is: blending it with a +inf
+/// neighbour at weight 0 would compute inf * 0 = NaN.
+double sorted_quantile(const std::vector<double>& xs, double q) {
+  const double pos = q * static_cast<double>(xs.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const double frac = pos - static_cast<double>(lo);
+  if (frac == 0.0) return xs[lo];
+  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
+  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+}
+
+}  // namespace
+
 double quantile(std::vector<double> xs, double q) {
   assert(!xs.empty());
   assert(q >= 0.0 && q <= 1.0);
   std::sort(xs.begin(), xs.end());
-  const double pos = q * static_cast<double>(xs.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return xs[lo] * (1.0 - frac) + xs[hi] * frac;
+  return sorted_quantile(xs, q);
 }
 
 Summary summarize(std::vector<double> xs) {
@@ -45,16 +57,9 @@ Summary summarize(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   s.min = xs.front();
   s.max = xs.back();
-  const auto at = [&](double q) {
-    const double pos = q * static_cast<double>(xs.size() - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, xs.size() - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return xs[lo] * (1.0 - frac) + xs[hi] * frac;
-  };
-  s.q1 = at(0.25);
-  s.median = at(0.5);
-  s.q3 = at(0.75);
+  s.q1 = sorted_quantile(xs, 0.25);
+  s.median = sorted_quantile(xs, 0.5);
+  s.q3 = sorted_quantile(xs, 0.75);
   return s;
 }
 

@@ -1,6 +1,19 @@
 #include "sched/scheduler.hpp"
 
-// The Scheduler interface is header-only; this translation unit anchors the
-// vtable so that the key function is emitted exactly once.
+#include "sched/timeline.hpp"
 
-namespace saga {}  // namespace saga
+namespace saga {
+
+Schedule ListScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
+  TimelineBuilder builder(inst, arena);
+  build(builder);
+  return builder.to_schedule();
+}
+
+double ListScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
+  TimelineBuilder builder(inst, arena);
+  build(builder);
+  return builder.current_makespan();
+}
+
+}  // namespace saga

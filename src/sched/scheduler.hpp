@@ -8,11 +8,14 @@
 #include "sched/schedule.hpp"
 
 /// \file scheduler.hpp
-/// Common interface of all 17 scheduling algorithms (the paper's Table I).
+/// Common interface of every scheduling algorithm (the paper's Table I and
+/// the extensions), and ListScheduler, the skeleton of the ones that place
+/// tasks one at a time on a TimelineBuilder.
 
 namespace saga {
 
 class TimelineArena;
+class TimelineBuilder;
 
 /// Seed for a randomized scheduler whose caller has no seed stream of its
 /// own (`saga schedule`, atlas entries, the golden makespans), so that
@@ -54,20 +57,38 @@ class Scheduler {
   /// materializing the Schedule object. Bit-identical to
   /// `schedule(inst, arena).makespan()` — the hot-loop form for objectives
   /// (PISA evaluates two schedulers per annealing step and only needs the
-  /// scalar). The default forwards to schedule(); kernel-migrated
-  /// schedulers override it to read the timeline's running makespan, which
-  /// skips the Schedule allocation entirely.
+  /// scalar). The default forwards to schedule(); ListScheduler reads the
+  /// timeline's running makespan instead, which skips the Schedule
+  /// allocation entirely, and composites forward to their members' plans.
   [[nodiscard]] virtual double plan_makespan(const ProblemInstance& inst,
                                              TimelineArena* arena) const {
     return schedule(inst, arena).makespan();
   }
 
   /// Legacy entry point, kept as a forwarding shim so existing callers
-  /// don't break. Concrete schedulers re-export it via
-  /// `using Scheduler::schedule;`.
+  /// don't break. Schedulers that override schedule() re-export it via
+  /// `using Scheduler::schedule;` (ListScheduler does so for its subclasses).
   [[nodiscard]] Schedule schedule(const ProblemInstance& inst) const {
     return schedule(inst, nullptr);
   }
+};
+
+/// A list scheduler: one pass that places every task on a single
+/// TimelineBuilder. Subclasses implement only build(); schedule() and
+/// plan_makespan() run it on a builder over `arena` and read the placements
+/// out as a Schedule or as the running makespan, so the two agree by
+/// construction.
+class ListScheduler : public Scheduler {
+ public:
+  using Scheduler::schedule;
+  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
+                                  TimelineArena* arena) const final;
+  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
+                                     TimelineArena* arena) const final;
+
+ private:
+  /// Places every task of `builder`'s instance.
+  virtual void build(TimelineBuilder& builder) const = 0;
 };
 
 using SchedulerPtr = std::unique_ptr<Scheduler>;

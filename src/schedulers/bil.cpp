@@ -15,7 +15,7 @@ namespace saga {
 namespace {
 
 /// Above this many nodes the level table visits each successor's lanes in
-/// ascending level order and stops early (see build_bil); at or below it the
+/// ascending level order and stops early (see BilScheduler::build); at or below it the
 /// full vectorised sweep is cheaper than the sort.
 constexpr std::size_t kSortedScanAboveNodes = 8;
 
@@ -34,7 +34,9 @@ double sorted_min(double best, const double* succ_row, const std::uint32_t* lane
   return best;
 }
 
-void build_bil(TimelineBuilder& builder) {
+}  // namespace
+
+void BilScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   const std::size_t tasks = view.task_count();
   const std::size_t n_nodes = view.node_count();
@@ -121,21 +123,6 @@ void build_bil(TimelineBuilder& builder) {
     rows.place(t, rows.best_node(t));
   }
 }
-
-}  // namespace
-
-Schedule BilScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_bil(builder);
-  return builder.to_schedule();
-}
-
-double BilScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_bil(builder);
-  return builder.current_makespan();
-}
-
 
 void register_bil_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -26,17 +26,15 @@ namespace saga {
 /// Selection runs on the ready-row table (sched/ready_rows.hpp).
 /// Designed for homogeneous link strengths (paper Section VI pins BIL's
 /// links to 1).
-class BilScheduler final : public Scheduler {
+class BilScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "BIL"; }
   [[nodiscard]] NetworkRequirements requirements() const override {
     return {.homogeneous_node_speeds = false, .homogeneous_link_strengths = true};
   }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -10,9 +10,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_cpop(TimelineBuilder& builder) {
+void CpopScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   const std::size_t tasks = view.task_count();
   auto& ws = builder.workspace();
@@ -66,21 +64,6 @@ void build_cpop(TimelineBuilder& builder) {
     builder.place(next, choice.node, choice.start);
   }
 }
-
-}  // namespace
-
-Schedule CpopScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_cpop(builder);
-  return builder.to_schedule();
-}
-
-double CpopScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_cpop(builder);
-  return builder.current_makespan();
-}
-
 
 void register_cpop_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

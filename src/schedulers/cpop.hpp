@@ -15,14 +15,12 @@ namespace saga {
 /// — under the related machines model, the fastest node. Remaining tasks are
 /// placed on the node minimising their earliest finish time (insertion
 /// policy), and tasks are dequeued from the ready set by priority.
-class CpopScheduler final : public Scheduler {
+class CpopScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "CPoP"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -8,9 +8,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_ert(TimelineBuilder& builder) {
+void ErtScheduler::build(TimelineBuilder& builder) const {
   const std::size_t nodes = builder.view().node_count();
   while (!builder.complete()) {
     // Ready task with the earliest minimum data-ready time across nodes.
@@ -32,21 +30,6 @@ void build_ert(TimelineBuilder& builder) {
     builder.place(next, choice.node, choice.start);
   }
 }
-
-}  // namespace
-
-Schedule ErtScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_ert(builder);
-  return builder.to_schedule();
-}
-
-double ErtScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_ert(builder);
-  return builder.current_makespan();
-}
-
 
 void register_ert_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -15,17 +15,15 @@ namespace saga {
 /// like ETF it predates fully heterogeneous models, so PISA pins node
 /// speeds to 1 for it. Extension scheduler: part of the paper's "more
 /// algorithms" future work, not of the 15-scheduler benchmark roster.
-class ErtScheduler final : public Scheduler {
+class ErtScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "ERT"; }
   [[nodiscard]] NetworkRequirements requirements() const override {
     return {.homogeneous_node_speeds = true, .homogeneous_link_strengths = false};
   }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -10,9 +10,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_etf(TimelineBuilder& builder) {
+void EtfScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   auto& ws = builder.workspace();
   std::vector<double>& level = ws.d0;
@@ -30,21 +28,6 @@ void build_etf(TimelineBuilder& builder) {
     rows.place(best, rows.best_node(best));
   }
 }
-
-}  // namespace
-
-Schedule EtfScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_etf(builder);
-  return builder.to_schedule();
-}
-
-double EtfScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_etf(builder);
-  return builder.current_makespan();
-}
-
 
 void register_etf_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

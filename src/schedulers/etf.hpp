@@ -14,17 +14,15 @@ namespace saga {
 /// higher static level, then by task id. Selection runs on the ready-row
 /// table (sched/ready_rows.hpp). Designed for homogeneous node speeds,
 /// which `requirements` declares so PISA pins node weights to 1.
-class EtfScheduler final : public Scheduler {
+class EtfScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "ETF"; }
   [[nodiscard]] NetworkRequirements requirements() const override {
     return {.homogeneous_node_speeds = true, .homogeneous_link_strengths = false};
   }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -6,31 +6,12 @@
 
 namespace saga {
 
-namespace {
-
-void build_fastest_node(TimelineBuilder& builder, NodeId fastest) {
+void FastestNodeScheduler::build(TimelineBuilder& builder) const {
+  const NodeId fastest = builder.instance().network.fastest_node();
   for (TaskId t : builder.view().topological_order()) {
     builder.place_earliest(t, fastest, /*insertion=*/false);
   }
 }
-
-}  // namespace
-
-Schedule FastestNodeScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  const NodeId fastest = inst.network.fastest_node();
-  TimelineBuilder builder(inst, arena);
-  build_fastest_node(builder, fastest);
-  return builder.to_schedule();
-}
-
-double FastestNodeScheduler::plan_makespan(const ProblemInstance& inst,
-                                           TimelineArena* arena) const {
-  const NodeId fastest = inst.network.fastest_node();
-  TimelineBuilder builder(inst, arena);
-  build_fastest_node(builder, fastest);
-  return builder.current_makespan();
-}
-
 
 void register_fastest_node_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

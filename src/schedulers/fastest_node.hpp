@@ -10,14 +10,12 @@ namespace saga {
 /// compute node, in topological order. A deliberately naive baseline — yet
 /// the paper's PISA results show popular heuristics losing to it by large
 /// factors on instances where parallelisation backfires (Section VI-A).
-class FastestNodeScheduler final : public Scheduler {
+class FastestNodeScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "FastestNode"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -36,7 +36,9 @@ NodeId enabling_node(const TimelineBuilder& builder, TaskId t) {
   return enabler;
 }
 
-void build_fcp(TimelineBuilder& builder) {
+}  // namespace
+
+void FcpScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   auto& ws = builder.workspace();
   std::vector<double>& rank = ws.d0;
@@ -80,21 +82,6 @@ void build_fcp(TimelineBuilder& builder) {
     }
   }
 }
-
-}  // namespace
-
-Schedule FcpScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_fcp(builder);
-  return builder.to_schedule();
-}
-
-double FcpScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_fcp(builder);
-  return builder.current_makespan();
-}
-
 
 void register_fcp_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -19,17 +19,15 @@ namespace saga {
 /// O(|T| log |V| + |D|) in the original; ours is a faithful but simpler
 /// O(|T| (log |T| + |V|)). Designed for homogeneous node speeds and link
 /// strengths (the paper pins both to 1 for FCP in PISA runs).
-class FcpScheduler final : public Scheduler {
+class FcpScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "FCP"; }
   [[nodiscard]] NetworkRequirements requirements() const override {
     return {.homogeneous_node_speeds = true, .homogeneous_link_strengths = true};
   }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -32,7 +32,9 @@ NodeId enabling_node(const TimelineBuilder& builder, TaskId t) {
   return enabler;
 }
 
-void build_flb(TimelineBuilder& builder) {
+}  // namespace
+
+void FlbScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   constexpr NodeId kUnknown = std::numeric_limits<NodeId>::max();
   // Each ready task's enabling node, computed once when first seen ready.
@@ -64,21 +66,6 @@ void build_flb(TimelineBuilder& builder) {
     builder.place_earliest(best_task, best_node, /*insertion=*/false);
   }
 }
-
-}  // namespace
-
-Schedule FlbScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_flb(builder);
-  return builder.to_schedule();
-}
-
-double FlbScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_flb(builder);
-  return builder.current_makespan();
-}
-
 
 void register_flb_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

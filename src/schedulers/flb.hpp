@@ -14,17 +14,15 @@ namespace saga {
 /// possible. As in FCP, only two candidate nodes are examined per task (the
 /// earliest-idle node and the task's enabling node). Designed for
 /// homogeneous node speeds and link strengths.
-class FlbScheduler final : public Scheduler {
+class FlbScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "FLB"; }
   [[nodiscard]] NetworkRequirements requirements() const override {
     return {.homogeneous_node_speeds = true, .homogeneous_link_strengths = true};
   }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

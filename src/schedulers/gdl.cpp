@@ -10,9 +10,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_gdl(TimelineBuilder& builder) {
+void GdlScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   auto& ws = builder.workspace();
   std::vector<double>& sl = ws.d0;
@@ -30,21 +28,6 @@ void build_gdl(TimelineBuilder& builder) {
     rows.place(t, rows.best_node(t));
   }
 }
-
-}  // namespace
-
-Schedule GdlScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_gdl(builder);
-  return builder.to_schedule();
-}
-
-double GdlScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_gdl(builder);
-  return builder.current_makespan();
-}
-
 
 void register_gdl_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -18,17 +18,15 @@ namespace saga {
 /// (sched/ready_rows.hpp), which re-evaluates only the pairs the placement
 /// changed. Designed assuming homogeneous link strengths, which
 /// `requirements` declares so PISA pins link weights to 1.
-class GdlScheduler final : public Scheduler {
+class GdlScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "GDL"; }
   [[nodiscard]] NetworkRequirements requirements() const override {
     return {.homogeneous_node_speeds = false, .homogeneous_link_strengths = true};
   }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

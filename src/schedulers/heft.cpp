@@ -56,10 +56,12 @@ void variant_upward_ranks(const InstanceView& view, HeftScheduler::RankStatistic
   }
 }
 
-void build_heft(TimelineBuilder& builder, const HeftScheduler::Variant& variant) {
+}  // namespace
+
+void HeftScheduler::build(TimelineBuilder& builder) const {
   auto& ws = builder.workspace();
   std::vector<double>& rank = ws.d0;
-  variant_upward_ranks(builder.view(), variant.rank, rank);
+  variant_upward_ranks(builder.view(), variant_.rank, rank);
 
   // Process tasks by decreasing upward rank. With strictly positive task
   // costs this order is topological on its own; zero-cost tasks (which PISA
@@ -77,25 +79,10 @@ void build_heft(TimelineBuilder& builder, const HeftScheduler::Variant& variant)
         found = true;
       }
     }
-    const auto choice = builder.best_eft(next, variant.insertion);
+    const auto choice = builder.best_eft(next, variant_.insertion);
     builder.place(next, choice.node, choice.start);
   }
 }
-
-}  // namespace
-
-Schedule HeftScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_heft(builder, variant_);
-  return builder.to_schedule();
-}
-
-double HeftScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_heft(builder, variant_);
-  return builder.current_makespan();
-}
-
 
 void register_heft_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

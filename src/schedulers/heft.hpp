@@ -21,7 +21,7 @@ namespace saga {
 /// feeds the upward rank, and whether placement may use insertion. The
 /// default variant is the published algorithm; `bench_heft_variants`
 /// compares the alternatives.
-class HeftScheduler final : public Scheduler {
+class HeftScheduler final : public ListScheduler {
  public:
   enum class RankStatistic : std::uint8_t {
     kMean,   // the published rank: average execution time over nodes
@@ -38,15 +38,12 @@ class HeftScheduler final : public Scheduler {
   explicit HeftScheduler(const Variant& variant) : variant_(variant) {}
 
   [[nodiscard]] std::string_view name() const override { return "HEFT"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
 
   [[nodiscard]] const Variant& variant() const noexcept { return variant_; }
 
  private:
+  void build(TimelineBuilder& builder) const override;
+
   Variant variant_;
 };
 

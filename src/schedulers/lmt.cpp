@@ -11,8 +11,7 @@
 
 namespace saga {
 
-Schedule LmtScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
+void LmtScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   const std::size_t tasks = view.task_count();
 
@@ -51,9 +50,7 @@ Schedule LmtScheduler::schedule(const ProblemInstance& inst, TimelineArena* aren
       builder.place_earliest(t, best_node, /*insertion=*/false);
     }
   }
-  return builder.to_schedule();
 }
-
 
 void register_lmt_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -17,12 +17,12 @@ namespace saga {
 /// (big tasks claim fast nodes first) and placed on the node minimising
 /// their completion time. Extension scheduler (paper future work), not in
 /// the 15-scheduler benchmark roster.
-class LmtScheduler final : public Scheduler {
+class LmtScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "LMT"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -7,31 +7,13 @@
 
 namespace saga {
 
-namespace {
-
-void build_maxmin(TimelineBuilder& builder) {
+void MaxMinScheduler::build(TimelineBuilder& builder) const {
   ReadyRows rows(builder, [](TaskId, NodeId, double, double finish) { return finish; });
   while (!builder.complete()) {
     const TaskId t = rows.greatest_key_task();  // largest minimum completion time
     rows.place(t, rows.best_node(t));
   }
 }
-
-}  // namespace
-
-Schedule MaxMinScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_maxmin(builder);
-  return builder.to_schedule();
-}
-
-double MaxMinScheduler::plan_makespan(const ProblemInstance& inst,
-                                      TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_maxmin(builder);
-  return builder.current_makespan();
-}
-
 
 void register_maxmin_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -12,14 +12,12 @@ namespace saga {
 /// is *largest* (on the node attaining that minimum): big tasks go first so
 /// they don't serialise at the end. Selection runs on the ready-row table
 /// (sched/ready_rows.hpp).
-class MaxMinScheduler final : public Scheduler {
+class MaxMinScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "MaxMin"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

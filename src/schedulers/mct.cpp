@@ -6,29 +6,12 @@
 
 namespace saga {
 
-namespace {
-
-void build_mct(TimelineBuilder& builder) {
+void MctScheduler::build(TimelineBuilder& builder) const {
   for (TaskId t : builder.view().topological_order()) {
     const auto choice = builder.best_eft(t, /*insertion=*/false);
     builder.place(t, choice.node, choice.start);
   }
 }
-
-}  // namespace
-
-Schedule MctScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_mct(builder);
-  return builder.to_schedule();
-}
-
-double MctScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_mct(builder);
-  return builder.current_makespan();
-}
-
 
 void register_mct_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -11,14 +11,12 @@ namespace saga {
 /// Assigns tasks in arbitrary (here: topological id) order to the node with
 /// the smallest completion time given previous decisions — essentially HEFT
 /// without its priority function or insertion policy. O(|T|^2 |V|).
-class MctScheduler final : public Scheduler {
+class MctScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "MCT"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

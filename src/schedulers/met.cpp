@@ -6,9 +6,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_met(TimelineBuilder& builder) {
+void MetScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   for (TaskId t : view.topological_order()) {
     // Smallest execution time; first (lowest-id) node wins ties.
@@ -24,21 +22,6 @@ void build_met(TimelineBuilder& builder) {
     builder.place_earliest(t, best_node, /*insertion=*/false);
   }
 }
-
-}  // namespace
-
-Schedule MetScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_met(builder);
-  return builder.to_schedule();
-}
-
-double MetScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_met(builder);
-  return builder.current_makespan();
-}
-
 
 void register_met_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -13,14 +13,12 @@ namespace saga {
 /// model every task's fastest node is the same, so MET degenerates to
 /// serialising the whole graph on the fastest node — one of the behaviours
 /// the paper's adversarial analysis exposes.
-class MetScheduler final : public Scheduler {
+class MetScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "MET"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -10,8 +10,7 @@
 
 namespace saga {
 
-Schedule MhScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
+void MhScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   std::vector<double> level;
   static_levels(view, level);
@@ -38,9 +37,7 @@ Schedule MhScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena
     }
     builder.place_earliest(next, best_node, /*insertion=*/false);
   }
-  return builder.to_schedule();
 }
-
 
 void register_mh_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

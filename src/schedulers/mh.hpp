@@ -14,12 +14,12 @@ namespace saga {
 /// greedily placed on the node minimising their completion time with
 /// append-only placement. Extension scheduler (paper future work), not in
 /// the 15-scheduler benchmark roster.
-class MhScheduler final : public Scheduler {
+class MhScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "MH"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

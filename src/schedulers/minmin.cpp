@@ -7,31 +7,13 @@
 
 namespace saga {
 
-namespace {
-
-void build_minmin(TimelineBuilder& builder) {
+void MinMinScheduler::build(TimelineBuilder& builder) const {
   ReadyRows rows(builder, [](TaskId, NodeId, double, double finish) { return finish; });
   while (!builder.complete()) {
     const TaskId t = rows.least_key_task();  // least minimum completion time
     rows.place(t, rows.best_node(t));
   }
 }
-
-}  // namespace
-
-Schedule MinMinScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_minmin(builder);
-  return builder.to_schedule();
-}
-
-double MinMinScheduler::plan_makespan(const ProblemInstance& inst,
-                                      TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_minmin(builder);
-  return builder.current_makespan();
-}
-
 
 void register_minmin_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

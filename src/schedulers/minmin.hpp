@@ -14,14 +14,12 @@ namespace saga {
 /// (sched/ready_rows.hpp) keeps those minima current. Originally defined
 /// for independent tasks; the ready-set formulation extends it to DAGs
 /// (data-ready times are included in the completion time).
-class MinMinScheduler final : public Scheduler {
+class MinMinScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "MinMin"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

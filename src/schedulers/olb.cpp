@@ -6,9 +6,7 @@
 
 namespace saga {
 
-namespace {
-
-void build_olb(TimelineBuilder& builder) {
+void OlbScheduler::build(TimelineBuilder& builder) const {
   const std::size_t nodes = builder.view().node_count();
   for (TaskId t : builder.view().topological_order()) {
     const auto avail = builder.node_available_row();
@@ -23,21 +21,6 @@ void build_olb(TimelineBuilder& builder) {
     builder.place_earliest(t, best_node, /*insertion=*/false);
   }
 }
-
-}  // namespace
-
-Schedule OlbScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_olb(builder);
-  return builder.to_schedule();
-}
-
-double OlbScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_olb(builder);
-  return builder.current_makespan();
-}
-
 
 void register_olb_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

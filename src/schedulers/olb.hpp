@@ -11,14 +11,12 @@ namespace saga {
 /// Assigns tasks in arbitrary (topological id) order to the node that
 /// becomes available earliest, ignoring execution and communication times
 /// entirely. O(|T| |V|). Useful mainly as a baseline.
-class OlbScheduler final : public Scheduler {
+class OlbScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "OLB"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -50,21 +50,19 @@ Policy parse_policy(const std::string& name) {
                               std::string(kPolicyHelp) + ")");
 }
 
-class OnlineScheduler final : public Scheduler {
+class OnlineScheduler final : public ListScheduler {
  public:
   OnlineScheduler(Policy policy, double tolerance, std::uint64_t seed)
       : policy_(policy), tolerance_(tolerance), seed_(seed) {}
 
   [[nodiscard]] std::string_view name() const override { return "Online"; }
 
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override {
-    TimelineBuilder builder(inst, arena);
+ private:
+  void build(TimelineBuilder& builder) const override {
     const InstanceView& view = builder.view();
     const std::size_t nodes = view.node_count();
-    const NodeId fastest = inst.network.fastest_node();
-    // Per-call cursor and stream: schedule() stays stateless, so every
+    const NodeId fastest = builder.instance().network.fastest_node();
+    // Per-call cursor and stream: build() stays stateless, so every
     // instance starts round-robin at node 0 and random from the seed.
     std::size_t cursor = 0;
     Rng rng(seed_);
@@ -130,10 +128,8 @@ class OnlineScheduler final : public Scheduler {
         revealed.emplace(arrival, edge.task);
       }
     }
-    return builder.to_schedule();
   }
 
- private:
   Policy policy_;
   double tolerance_;
   std::uint64_t seed_;

@@ -9,8 +9,7 @@
 
 namespace saga {
 
-Schedule PeftScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
+void PeftScheduler::build(TimelineBuilder& builder) const {
   const InstanceView& view = builder.view();
   const std::size_t tasks = view.task_count();
   const std::size_t n_nodes = view.node_count();
@@ -68,9 +67,7 @@ Schedule PeftScheduler::schedule(const ProblemInstance& inst, TimelineArena* are
     }
     builder.place_earliest(next, best_node, /*insertion=*/true);
   }
-  return builder.to_schedule();
 }
-
 
 void register_peft_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

@@ -19,12 +19,12 @@ namespace saga {
 /// row (rank_oct) and placed on the node minimising the *optimistic* EFT,
 /// O_EFT(t, v) = EFT(t, v) + OCT(t, v), with insertion. Same O(|T|^2 |V|)
 /// complexity class as HEFT.
-class PeftScheduler final : public Scheduler {
+class PeftScheduler final : public ListScheduler {
  public:
   [[nodiscard]] std::string_view name() const override { return "PEFT"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
+
+ private:
+  void build(TimelineBuilder& builder) const override;
 };
 
 }  // namespace saga

@@ -13,10 +13,8 @@
 
 namespace saga {
 
-namespace {
-
-void build_wba(TimelineBuilder& builder, std::uint64_t seed, double tolerance) {
-  Rng rng(seed);
+void WbaScheduler::build(TimelineBuilder& builder) const {
+  Rng rng(seed_);
   const std::size_t nodes = builder.view().node_count();
   // Per ready slot: how many of the task's options fall inside the band.
   std::vector<std::uint32_t>& in_band = builder.workspace().idx;
@@ -42,7 +40,7 @@ void build_wba(TimelineBuilder& builder, std::uint64_t seed, double tolerance) {
     // Keep every option within the tolerance band of the least increase and
     // choose uniformly among them. Whole rows fall inside or outside the
     // band without a lane scan; only rows straddling its edge are scanned.
-    const double limit = min_inc + tolerance * (max_inc - min_inc) + 1e-15;
+    const double limit = min_inc + tolerance_ * (max_inc - min_inc) + 1e-15;
     in_band.resize(ready.size());
     std::size_t count = 0;
     for (std::size_t i = 0; i < ready.size(); ++i) {
@@ -69,21 +67,6 @@ void build_wba(TimelineBuilder& builder, std::uint64_t seed, double tolerance) {
     rows.place(task, node);
   }
 }
-
-}  // namespace
-
-Schedule WbaScheduler::schedule(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_wba(builder, seed_, tolerance_);
-  return builder.to_schedule();
-}
-
-double WbaScheduler::plan_makespan(const ProblemInstance& inst, TimelineArena* arena) const {
-  TimelineBuilder builder(inst, arena);
-  build_wba(builder, seed_, tolerance_);
-  return builder.current_makespan();
-}
-
 
 void register_wba_scheduler(SchedulerRegistry& registry) {
   SchedulerDesc desc;

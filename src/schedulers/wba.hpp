@@ -20,19 +20,16 @@ namespace saga {
 ///
 /// Deterministic for a fixed seed; the seed is a constructor parameter so
 /// experiment drivers can derive independent streams.
-class WbaScheduler final : public Scheduler {
+class WbaScheduler final : public ListScheduler {
  public:
   explicit WbaScheduler(std::uint64_t seed, double tolerance = 0.5)
       : seed_(seed), tolerance_(tolerance) {}
 
   [[nodiscard]] std::string_view name() const override { return "WBA"; }
-  using Scheduler::schedule;
-  [[nodiscard]] Schedule schedule(const ProblemInstance& inst,
-                                  TimelineArena* arena) const override;
-  [[nodiscard]] double plan_makespan(const ProblemInstance& inst,
-                                     TimelineArena* arena) const override;
 
  private:
+  void build(TimelineBuilder& builder) const override;
+
   std::uint64_t seed_;
   double tolerance_;
 };

@@ -2,6 +2,9 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/benchmarking.hpp"
 #include "common/rng.hpp"
@@ -84,10 +87,17 @@ TEST(Benchmarking, PlanMakespanMatchesScheduleOnBenchGridFamilies) {
   // Benchmark cells record plan_makespan; it must equal
   // schedule().makespan() bit for bit for every @benchmark scheduler, with
   // the per-cell seeds the cell executor derives, through a warm arena and
-  // one-shot. The datasets mirror perfbench's bench_grid spec.
+  // one-shot. The datasets mirror perfbench's bench_grid spec. A second
+  // pass covers the list schedulers outside the benchmark roster: the
+  // extensions and every Online policy.
+  const std::vector<std::pair<std::vector<std::string>, std::size_t>> passes = {
+      {{"@benchmark"}, 15},
+      {{"PEFT", "LMT", "MH", "Online?policy=eft", "Online?policy=rr", "Online?policy=fastest",
+        "Online?policy=locality", "Online?policy=random"},
+       8},
+  };
   exp::ExperimentSpec spec;
   spec.mode = exp::Mode::kBenchmark;
-  spec.schedulers = {"@benchmark"};
   spec.datasets = {{"montage?n=30", 4},
                    {"srasearch?n=40", 4},
                    {"out_trees?levels=5&branch=3", 4},
@@ -98,21 +108,24 @@ TEST(Benchmarking, PlanMakespanMatchesScheduleOnBenchGridFamilies) {
   const auto& registry = SchedulerRegistry::instance();
   const auto bits = [](double value) { return std::bit_cast<std::uint64_t>(value); };
   TimelineArena arena;
-  for (const std::uint64_t seed : {1ULL, 42ULL}) {
-    spec.seed = seed;
-    const exp::CellPlan plan = exp::enumerate_cells(spec);
-    ASSERT_EQ(plan.roster.size(), 15u);
-    for (const exp::WorkCell& cell : plan.cells) {
-      const ProblemInstance inst = plan.sources[cell.dataset]->generate(cell.instance);
-      for (std::size_t s = 0; s < plan.roster.size(); ++s) {
-        const auto scheduler =
-            registry.make(plan.roster[s], derive_seed(seed, {0xbe5cULL, s, cell.instance}));
-        EXPECT_EQ(bits(scheduler->plan_makespan(inst, &arena)),
-                  bits(scheduler->schedule(inst, &arena).makespan()))
-            << plan.roster[s] << " on " << cell.key << ", warm arena";
-        EXPECT_EQ(bits(scheduler->plan_makespan(inst, nullptr)),
-                  bits(scheduler->schedule(inst, nullptr).makespan()))
-            << plan.roster[s] << " on " << cell.key << ", one-shot";
+  for (const auto& [schedulers, roster_size] : passes) {
+    spec.schedulers = schedulers;
+    for (const std::uint64_t seed : {1ULL, 42ULL}) {
+      spec.seed = seed;
+      const exp::CellPlan plan = exp::enumerate_cells(spec);
+      ASSERT_EQ(plan.roster.size(), roster_size);
+      for (const exp::WorkCell& cell : plan.cells) {
+        const ProblemInstance inst = plan.sources[cell.dataset]->generate(cell.instance);
+        for (std::size_t s = 0; s < plan.roster.size(); ++s) {
+          const auto scheduler =
+              registry.make(plan.roster[s], derive_seed(seed, {0xbe5cULL, s, cell.instance}));
+          EXPECT_EQ(bits(scheduler->plan_makespan(inst, &arena)),
+                    bits(scheduler->schedule(inst, &arena).makespan()))
+              << plan.roster[s] << " on " << cell.key << ", warm arena";
+          EXPECT_EQ(bits(scheduler->plan_makespan(inst, nullptr)),
+                    bits(scheduler->schedule(inst, nullptr).makespan()))
+              << plan.roster[s] << " on " << cell.key << ", one-shot";
+        }
       }
     }
   }

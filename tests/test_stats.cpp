@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -44,6 +45,13 @@ TEST(Quantile, SingleElement) {
   EXPECT_DOUBLE_EQ(quantile({7.0}, 1.0), 7.0);
 }
 
+TEST(Quantile, ExactRankBesideInfinityIsThatSample) {
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(quantile({1.0, 2.0, 3.0, 4.0, inf}, 0.75), 4.0);
+  EXPECT_EQ(quantile({inf, inf, inf}, 0.5), inf);
+  EXPECT_EQ(quantile({1.0, inf}, 0.5), inf);  // interpolated: still inf, not NaN
+}
+
 TEST(Summarize, EmptySample) {
   const Summary s = summarize({});
   EXPECT_EQ(s.count, 0u);
@@ -66,6 +74,21 @@ TEST(Summarize, UnsortedInputHandled) {
   EXPECT_DOUBLE_EQ(s.min, 1.0);
   EXPECT_DOUBLE_EQ(s.median, 5.0);
   EXPECT_DOUBLE_EQ(s.max, 9.0);
+}
+
+TEST(Summarize, InfiniteSamplesGiveNoNaNQuartiles) {
+  // Benchmark ratios are +inf when an instance's best makespan is 0 and
+  // another scheduler's is not.
+  const double inf = std::numeric_limits<double>::infinity();
+  const Summary tail = summarize({1.0, 2.0, 3.0, 4.0, inf});
+  EXPECT_EQ(tail.q1, 2.0);
+  EXPECT_EQ(tail.median, 3.0);
+  EXPECT_EQ(tail.q3, 4.0);
+  EXPECT_EQ(tail.max, inf);
+  const Summary all = summarize({inf, inf, inf});
+  EXPECT_EQ(all.q1, inf);
+  EXPECT_EQ(all.median, inf);
+  EXPECT_EQ(all.q3, inf);
 }
 
 TEST(Summarize, ToStringContainsFields) {
